@@ -8,6 +8,7 @@ projector pairs vertex v of layer 1 with vertex v of layer 2.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -266,17 +267,30 @@ def detect_multi_exact(rho: DensityOperator, net: DensityOperator, w: Witness,
     )
 
 
+def _read_only(ket: np.ndarray) -> np.ndarray:
+    ket.setflags(write=False)
+    return ket
+
+
+# The protocol objects are immutable (Mat data and the target are read-only),
+# so each family is built and validated once per process.
+@functools.cache
+def _ghz_protocol():
+    """(network, witness, target ket) of the GHZ protocol."""
+    return ghz_network(), ghz_witness(), _read_only(ghz_ket())
+
+
+@functools.cache
+def _cl4_protocol():
+    """(network, witness, target ket) of the four-qubit cluster protocol."""
+    g = cl4_graph()
+    return (graph_network(g, CL4_LABELS), graph_witness(g, CL4_LABELS),
+            _read_only(graph_basis_state(g, "0000")))
+
+
 def ghz_detect_exact(rho: DensityOperator, provenance: dict | None = None):
-    return detect_multi_exact(rho, ghz_network(), ghz_witness(), ghz_ket(),
-                              provenance=provenance)
+    return detect_multi_exact(rho, *_ghz_protocol(), provenance=provenance)
 
 
 def cl4_detect_exact(rho: DensityOperator, provenance: dict | None = None):
-    g = cl4_graph()
-    return detect_multi_exact(
-        rho,
-        graph_network(g, CL4_LABELS),
-        graph_witness(g, CL4_LABELS),
-        graph_basis_state(g, "0000"),
-        provenance=provenance,
-    )
+    return detect_multi_exact(rho, *_cl4_protocol(), provenance=provenance)

@@ -15,7 +15,7 @@ operator is never materialized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -95,9 +95,21 @@ def teleport_contraction(rho: np.ndarray, net: np.ndarray, d2: int, d3: int) -> 
     return np.einsum("ij,ixjy->xy", rho, t, optimize=True)
 
 
-def _layer_dims(n: NetworkState):
+def _contract(rho: DensityOperator, n: NetworkState):
+    """K and tr K for rho through n; rejects mismatched dims and a vanishing
+    post-selection probability."""
     d = n.d
-    return d * d, d * d
+    if rho.dims != (d, d):
+        raise ValueError(f"state dims {rho.dims} do not match network d={d}")
+    k = teleport_contraction(rho.data, n.state.data, d * d, d * d)
+    trk = float(np.real(np.trace(k)))
+    if trk / (d * d) <= MIN_SUCCESS_PROB:
+        raise ValueError("post-selection probability vanishes")
+    return k, trk
+
+
+def _filtered_state(k: np.ndarray, trk: float, d: int) -> DensityOperator:
+    return density((k + k.conj().T) / (2 * trk), (d, d))
 
 
 def filtering_channel(rho: DensityOperator, n: NetworkState):
@@ -105,16 +117,8 @@ def filtering_channel(rho: DensityOperator, n: NetworkState):
 
     Returns (success probability, filtered state on the readout pair).
     """
-    d = n.d
-    if rho.dims != (d, d):
-        raise ValueError(f"state dims {rho.dims} do not match network d={d}")
-    d2, d3 = _layer_dims(n)
-    k = teleport_contraction(rho.data, n.state.data, d2, d3)
-    success = float(np.real(np.trace(k))) / d2
-    if success <= MIN_SUCCESS_PROB:
-        raise ValueError("post-selection probability vanishes")
-    out = (k + k.conj().T) / (2 * np.real(np.trace(k)))
-    return success, density(out, (d, d))
+    k, trk = _contract(rho, n)
+    return trk / (n.d * n.d), _filtered_state(k, trk, n.d)
 
 
 def singlet_fraction(sigma: DensityOperator) -> float:
@@ -129,8 +133,8 @@ def bell_overlap_raw(rho: DensityOperator, n: NetworkState, target=None) -> floa
     With the default target |phi_00> this is the closed-form Bell-outcome
     probability; for the two-qubit family it equals 1/8 - tr[rho W]/4.
     """
-    d2, d3 = _layer_dims(n)
-    k = teleport_contraction(rho.data, n.state.data, d2, d3)
+    d2 = n.d * n.d
+    k = teleport_contraction(rho.data, n.state.data, d2, d2)
     t = bell.bell_ket(n.d, 0, 0) if target is None else np.asarray(target, dtype=complex)
     return float(np.real(t.conj() @ k @ t))
 
@@ -174,18 +178,13 @@ def bell_outcome_distribution(rho: DensityOperator, n: NetworkState) -> np.ndarr
     # conditioning on a Bell outcome conjugates layer 2 by Weyl unitaries,
     # so only tr_3 of the network enters each outcome weight
     n2 = np.trace(n.state.data.reshape(d2, d2, d2, d2), axis1=1, axis2=3)
-    rho_t = rho.data.T
-    weyls = [[bell.weyl(d, s, t) for t in range(d)] for s in range(d)]
-    p = np.empty((d, d, d, d))
-    for s in range(d):
-        for t in range(d):
-            for u in range(d):
-                for v in range(d):
-                    w = np.kron(weyls[s][t], weyls[u][v])
-                    p[s, t, u, v] = np.real(
-                        np.trace(rho_t @ w.conj().T @ n2 @ w)
-                    ) / d2
-    return p
+    site = np.array([bell.weyl(d, s, t) for s in range(d) for t in range(d)])
+    # stack of W_st (x) W_uv; a broadcast product forms each entry exactly as
+    # np.kron does, so every outcome weight keeps its per-outcome bits
+    w = (site[:, None, :, None, :, None] * site[None, :, None, :, None, :]).reshape(d2 * d2, d2, d2)
+    p = np.real(np.trace(rho.data.T @ w.conj().transpose(0, 2, 1) @ n2 @ w,
+                         axis1=1, axis2=2)) / d2
+    return p.reshape(d, d, d, d)
 
 
 def _verdict(fraction: float, eta: float) -> str:
@@ -206,13 +205,13 @@ def detect_exact(rho: DensityOperator, n: NetworkState, w=None,
     strict inequality; disagreement with the sign of tr[rho W] outside a
     1e-9 band around the threshold raises ConsistencyError.
     """
+    return _detect(rho, n, w, provenance)[0]
+
+
+def _detect(rho: DensityOperator, n: NetworkState, w, provenance):
+    """detect_exact's report together with the contraction K and tr K."""
     wmat = _witness_matrix(n, w)
-    d2, d3 = _layer_dims(n)
-    k = teleport_contraction(rho.data, n.state.data, d2, d3)
-    trk = float(np.real(np.trace(k)))
-    success = trk / d2
-    if success <= MIN_SUCCESS_PROB:
-        raise ValueError("post-selection probability vanishes")
+    k, trk = _contract(rho, n)
     phi = bell.bell_ket(n.d, 0, 0)
     raw = float(np.real(phi.conj() @ k @ phi))
     fraction = raw / trk
@@ -224,8 +223,8 @@ def detect_exact(rho: DensityOperator, n: NetworkState, w=None,
                 f"fraction {fraction:.12g} vs eta {n.eta:.12g} disagrees with "
                 f"tr[rho W] = {wexp:.12g}"
             )
-    return DetectionReport(
-        success_prob=success,
+    report = DetectionReport(
+        success_prob=trk / (n.d * n.d),
         singlet_fraction=fraction,
         eta=n.eta,
         verdict=verdict,
@@ -234,6 +233,7 @@ def detect_exact(rho: DensityOperator, n: NetworkState, w=None,
         raw_threshold=n.eta * trk,
         provenance=provenance or {},
     )
+    return report, k, trk
 
 
 def wilson_interval(successes: int, trials: int, z: float = WILSON_Z):
@@ -259,7 +259,7 @@ def detect_shots(rho: DensityOperator, n: NetworkState, w=None, shots: int = 100
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    exact = detect_exact(rho, n, w, provenance=provenance)
+    exact, k, trk = _detect(rho, n, w, provenance)
     rng = np.random.default_rng(rng_seed)
     p = bell_outcome_distribution(rho, n).reshape(-1)
     p = np.clip(p, 0.0, None)
@@ -268,19 +268,8 @@ def detect_shots(rho: DensityOperator, n: NetworkState, w=None, shots: int = 100
     n_post = int(bell_counts[0])  # flat index 0 == (0,0),(0,0)
     if n_post == 0:
         stats = ShotStats(shots, 0, None, None, None, rng_seed)
-        return DetectionReport(
-            success_prob=exact.success_prob,
-            singlet_fraction=exact.singlet_fraction,
-            eta=exact.eta,
-            verdict="inconclusive",
-            witness_expectation=exact.witness_expectation,
-            raw_overlap=exact.raw_overlap,
-            raw_threshold=exact.raw_threshold,
-            shots=stats,
-            provenance=provenance or {},
-        )
-    _, filtered = filtering_channel(rho, n)
-    q = measurement_circuit_probs(filtered).reshape(-1)
+        return replace(exact, verdict="inconclusive", shots=stats)
+    q = measurement_circuit_probs(_filtered_state(k, trk, n.d)).reshape(-1)
     q = np.clip(q, 0.0, None)
     q = q / q.sum()
     readout_counts = rng.multinomial(n_post, q)
@@ -288,14 +277,4 @@ def detect_shots(rho: DensityOperator, n: NetworkState, w=None, shots: int = 100
     estimate = hits / n_post
     lo, hi = wilson_interval(hits, n_post)
     stats = ShotStats(shots, n_post, estimate, float(lo), float(hi), rng_seed)
-    return DetectionReport(
-        success_prob=exact.success_prob,
-        singlet_fraction=exact.singlet_fraction,
-        eta=exact.eta,
-        verdict=_verdict(estimate, exact.eta),
-        witness_expectation=exact.witness_expectation,
-        raw_overlap=exact.raw_overlap,
-        raw_threshold=exact.raw_threshold,
-        shots=stats,
-        provenance=provenance or {},
-    )
+    return replace(exact, verdict=_verdict(estimate, exact.eta), shots=stats)

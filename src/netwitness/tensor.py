@@ -70,9 +70,20 @@ class Mat:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Mat":
-        dims = tuple(int(d) for d in obj["dims"])
+        """Inverse of to_dict; malformed input raises ValueError."""
+        if not isinstance(obj, dict):
+            raise ValueError(
+                f"matrix JSON must be an object with keys dims, re, im, not {type(obj).__name__}"
+            )
+        missing = [key for key in ("dims", "re", "im") if key not in obj]
+        if missing:
+            raise ValueError(f"matrix JSON is missing key(s): {', '.join(missing)}")
+        try:
+            dims = tuple(int(d) for d in obj["dims"])
+            flat = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
+        except TypeError as exc:
+            raise ValueError(f"matrix JSON has a value of the wrong type: {exc}") from None
         side = int(np.prod(dims))
-        flat = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
         return cls(flat.reshape(side, side), dims)
 
 
@@ -84,6 +95,9 @@ class DensityOperator:
 
     def __post_init__(self):
         m = self.mat
+        # every comparison against NaN is False, so the checks below would pass
+        if not np.isfinite(m.data).all():
+            raise ValueError("density operator has a non-finite entry")
         if m.hermiticity_defect() > STRUCTURAL_TOL:
             raise ValueError("density operator is not Hermitian within 1e-10")
         if abs(m.trace() - 1.0) > STRUCTURAL_TOL:

@@ -46,6 +46,20 @@ class TestProtocolRun:
             main(["protocol", "run", "--family", "two-qubit"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("content", [
+        {"dims": [2, 2], "re": [float("nan")] + [0.0] * 15, "im": [0.0] * 16},
+        {"dims": [2, 2], "re": [float("inf")] + [0.0] * 15, "im": [0.0] * 16},
+        {"dims": [2, 2], "re": [0.25, 0, 0, 0, 0, 0.25, 0, 0, 0, 0, 0.25, 0, 0, 0, 0, 0.25]},
+        [0.25, 0.25, 0.25, 0.25],
+    ], ids=["nan", "inf", "missing-im", "top-level-array"])
+    def test_bad_state_file_is_usage_error(self, capsys, tmp_path, content):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(content))
+        with pytest.raises(SystemExit) as err:
+            main(["protocol", "run", "--family", "choi", "--state-file", str(path)])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestProtocolShots:
     def test_zero_shots_usage_error(self, capsys):

@@ -1,0 +1,45 @@
+"""Fixed-seed CLI reports stay byte-identical.
+
+Each command runs in-process and its report's sha256 is compared with the
+hash pinned in ``perfbench/golden.json``, which the benchmark checks too.
+The d = 6 Breuer-Hall build (``network-bh6``, over 10 s) is left out.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from netwitness.cli import main
+
+GOLDEN_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "golden.json"
+GOLDEN = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+
+COMMANDS = {
+    "readme-witness-choi": "witness build --family choi",
+    "readme-network-bh4": "network build --family bh --d 4",
+    "readme-verify-reconstruction-pbd3":
+        "verify reconstruction --family pbd --d 3 --lambda 2/3,1/3,0",
+    "readme-verify-ppt-smolin": "verify ppt --family smolin",
+    "readme-protocol-run": "protocol run --family two-qubit --state psi-minus",
+    "readme-protocol-shots": "protocol shots --family choi --state isotropic --fidelity 0.8 "
+                             "--shots 100000 --seed 7",
+    "readme-scan": "scan choi-bound-entangled --resolution 40 --seed 0",
+    "readme-graph-demo": "graph demo",
+    "network-pbd4": "network build --family pbd --lambda 0.4,0.3,0.2,0.1",
+    "network-bh4-csv": "network build --family bh --d 4 --format csv",
+}
+
+
+def test_every_fast_golden_report_is_covered():
+    assert set(GOLDEN) - set(COMMANDS) == {"network-bh6"}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_report_matches_golden_hash(name, tmp_path, capsys):
+    out = tmp_path / name
+    main(COMMANDS[name].split() + ["--out", str(out)])
+    capsys.readouterr()
+    data = out.read_bytes()
+    assert {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)} == GOLDEN[name]

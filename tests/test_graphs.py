@@ -205,6 +205,15 @@ class TestGraphWitnessAndNetwork:
         rep = graphs.cl4_detect_exact(density(np.eye(16) / 16, (2,) * 4))
         assert rep.verdict == "not_detected"
 
+    def test_protocol_built_once_and_read_only(self):
+        rho = random_state((2,) * 4, rng_seed=5)
+        assert graphs.cl4_detect_exact(rho).to_dict() == graphs.cl4_detect_exact(rho).to_dict()
+        for build in (graphs._cl4_protocol, graphs._ghz_protocol):
+            assert build() is build()
+            net, w, target = build()
+            for arr in (net.data, w.mat.data, target):
+                assert not arr.flags.writeable
+
     def test_cl4_proportionality_constant_stable(self):
         g = cl4_graph()
         w = graph_witness(g, CL4_LABELS)

@@ -8,6 +8,7 @@ from netwitness.networks import (
     flip_network,
     pbd_network,
     reduction_network,
+    smolin_network,
     two_qubit_network,
 )
 from netwitness.protocol import (
@@ -185,6 +186,13 @@ class TestDetectExact:
             if abs(rep.singlet_fraction - rep.eta) > 1e-9:
                 assert (rep.singlet_fraction > rep.eta) == (rep.witness_expectation < 0)
 
+    def test_dims_mismatch_rejected(self):
+        rho = density(np.eye(4) / 4, (2, 2))
+        with pytest.raises(ValueError, match="do not match network"):
+            detect_exact(rho, choi_network())
+        with pytest.raises(ValueError, match="do not match network"):
+            detect_shots(rho, choi_network(), shots=10)
+
     def test_isotropic_threshold(self):
         d = 3
         net = reduction_network(d)
@@ -194,7 +202,64 @@ class TestDetectExact:
             assert rep.verdict == expect
 
 
+def loop_bell_outcome_distribution(rho, net):
+    """Reference: one Kronecker-product Weyl conjugation per outcome."""
+    d = net.d
+    d2 = d * d
+    n2 = np.trace(net.state.data.reshape(d2, d2, d2, d2), axis1=1, axis2=3)
+    p = np.empty((d, d, d, d))
+    for s, t, u, v in np.ndindex(d, d, d, d):
+        w = np.kron(bell.weyl(d, s, t), bell.weyl(d, u, v))
+        p[s, t, u, v] = np.real(np.trace(rho.data.T @ w.conj().T @ n2 @ w)) / d2
+    return p
+
+
+def joint_space_bell_distribution(rho, net):
+    """Oracle: tr[(rho (x) N)(P_st (x) P_uv)] on the six-factor joint space.
+
+    Factors are (A1, B1, A2, B2, A3, B3); P_st pairs A1 with A2 and P_uv
+    pairs B1 with B2, and the layer-3 factors are traced out.
+    """
+    d = net.d
+    r = rho.data.reshape((d,) * 4)
+    n = net.state.data.reshape((d,) * 8)
+    bells = np.array([bell.bell_projector(d, s, t).data.reshape((d,) * 4)
+                      for s in range(d) for t in range(d)])
+    p = np.einsum("abAB,cdxyCDxy,sACac,uBDbd->su", r, n, bells, bells, optimize=True)
+    return np.real(p).reshape(d, d, d, d)
+
+
+DISTRIBUTION_NETWORKS = [
+    (two_qubit_network, 2),
+    (smolin_network, 2),
+    (choi_network, 3),
+    (lambda: flip_network(3), 3),
+    (lambda: reduction_network(3), 3),
+    (lambda: pbd_network((0.4, 0.3, 0.2, 0.1)), 4),
+    (lambda: bh_network(4), 4),
+]
+DISTRIBUTION_IDS = ["two-qubit", "smolin", "choi", "flip3", "reduction3", "pbd4", "bh4"]
+
+
 class TestBellOutcomeDistribution:
+    @pytest.mark.parametrize("net_factory,d", DISTRIBUTION_NETWORKS, ids=DISTRIBUTION_IDS)
+    def test_matches_per_outcome_loop(self, net_factory, d):
+        net = net_factory()
+        for seed in range(3):
+            rho = random_state((d, d), rng_seed=seed)
+            p = bell_outcome_distribution(rho, net)
+            assert np.max(np.abs(p - loop_bell_outcome_distribution(rho, net))) <= 1e-14
+
+    @pytest.mark.parametrize("net_factory", [choi_network, lambda: flip_network(3),
+                                             lambda: reduction_network(3)],
+                             ids=["choi", "flip3", "reduction3"])
+    def test_against_joint_space_oracle_d3(self, net_factory):
+        net = net_factory()
+        for seed in (12, 13):
+            rho = random_state((3, 3), rng_seed=seed)
+            p = bell_outcome_distribution(rho, net)
+            assert np.max(np.abs(p - joint_space_bell_distribution(rho, net))) <= 1e-12
+
     def test_normalization_and_success_entry(self):
         for net, rho in ((two_qubit_network(), PSI_MINUS),
                          (choi_network(), random_state((3, 3), rng_seed=4))):

@@ -88,6 +88,18 @@ class TestMat:
         with pytest.raises(ValueError):
             m.data[0, 0] = 5.0
 
+    @pytest.mark.parametrize("key", ["dims", "re", "im"])
+    def test_from_dict_missing_key(self, key):
+        obj = identity((2,)).to_dict()
+        del obj[key]
+        with pytest.raises(ValueError, match=f"missing key.*{key}"):
+            Mat.from_dict(obj)
+
+    @pytest.mark.parametrize("obj", [[1.0, 0.0], {"dims": 2, "re": [1, 0, 0, 1], "im": [0] * 4}])
+    def test_from_dict_wrong_type(self, obj):
+        with pytest.raises(ValueError, match="list|wrong type"):
+            Mat.from_dict(obj)
+
 
 class TestKron:
     def test_identity_case(self):
@@ -282,4 +294,11 @@ class TestDensityOperator:
         m = np.eye(4) / 4
         m[0, 1] = 0.1
         with pytest.raises(ValueError, match="Hermitian"):
+            density(m, (2, 2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite(self, bad):
+        m = np.eye(4) / 4
+        m[1, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
             density(m, (2, 2))
