@@ -95,15 +95,20 @@ def teleport_contraction(rho: np.ndarray, net: np.ndarray, d2: int, d3: int) -> 
     return np.einsum("ij,ixjy->xy", rho, t, optimize=True)
 
 
-def _contract(rho: DensityOperator, n: NetworkState):
-    """K and tr K for rho through n; rejects mismatched dims and a vanishing
-    post-selection probability."""
+def _teleport(rho: DensityOperator, n: NetworkState) -> np.ndarray:
+    """K for rho through n; rejects a state whose dims do not match n."""
     d = n.d
     if rho.dims != (d, d):
         raise ValueError(f"state dims {rho.dims} do not match network d={d}")
-    k = teleport_contraction(rho.data, n.state.data, d * d, d * d)
+    return teleport_contraction(rho.data, n.state.data, d * d, d * d)
+
+
+def _contract(rho: DensityOperator, n: NetworkState):
+    """K and tr K for rho through n; rejects mismatched dims and a vanishing
+    post-selection probability."""
+    k = _teleport(rho, n)
     trk = float(np.real(np.trace(k)))
-    if trk / (d * d) <= MIN_SUCCESS_PROB:
+    if trk / (n.d * n.d) <= MIN_SUCCESS_PROB:
         raise ValueError("post-selection probability vanishes")
     return k, trk
 
@@ -133,8 +138,7 @@ def bell_overlap_raw(rho: DensityOperator, n: NetworkState, target=None) -> floa
     With the default target |phi_00> this is the closed-form Bell-outcome
     probability; for the two-qubit family it equals 1/8 - tr[rho W]/4.
     """
-    d2 = n.d * n.d
-    k = teleport_contraction(rho.data, n.state.data, d2, d2)
+    k = _teleport(rho, n)
     t = bell.bell_ket(n.d, 0, 0) if target is None else np.asarray(target, dtype=complex)
     return float(np.real(t.conj() @ k @ t))
 

@@ -139,47 +139,35 @@ class CyclicCheckResult:
         return self.bound - self.worst_value
 
 
-def _cyclic_lhs(lam, t_sq) -> float:
-    """sum_j t_j^2 / sum_s lambda_s t_{j+s}^2, with 0/0 terms skipped."""
-    d = len(lam)
-    total = 0.0
-    for j in range(d):
-        num = t_sq[j]
-        den = sum(lam[s] * t_sq[(j + s) % d] for s in range(d))
-        if den == 0.0:
-            if num == 0.0:
-                continue
-            return float("inf")
-        total += num / den
-    return total
-
-
 def cyclic_inequality_check(lam, trials: int = 10000, rng_seed: int = 0) -> CyclicCheckResult:
     """Randomized falsifier for the cyclic inequalities bounding the LHS by d.
 
-    Deterministic corner cases (basis vectors, all-ones) are always included;
-    the rest are random non-negative vectors. This samples, it does not prove.
+    The LHS is sum_j t_j^2 / sum_s lambda_s t_{j+s}^2, with 0/0 terms skipped
+    and x/0 = inf for x > 0. Deterministic corner cases (basis vectors,
+    all-ones) are always included; the rest are random non-negative vectors.
+    This samples, it does not prove. ``worst_t`` is the first candidate
+    reaching the largest LHS.
     """
     lam = check_lambda_vec(lam)
     d = len(lam)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(rng_seed)
-    candidates = [tuple(1.0 if i == j else 0.0 for i in range(d)) for j in range(d)]
-    candidates.append((1.0,) * d)
-    for _ in range(trials):
-        candidates.append(tuple(rng.random(d)))
-    worst_value = -np.inf
-    worst_t = candidates[0]
-    for t in candidates:
-        t_sq = [x * x for x in t]
-        val = _cyclic_lhs(lam, t_sq)
-        if val > worst_value:
-            worst_value = val
-            worst_t = t
-            if np.isinf(val):
-                break
-    return CyclicCheckResult(worst_value <= d + 1e-9, float(worst_value), worst_t, float(d))
+    t = np.vstack([np.eye(d), np.ones((1, d)), rng.random((trials, d))])
+    t_sq = t * t
+    total = np.zeros(len(t))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # sums run in the order of the scalar definition, so every LHS keeps
+        # its bits and argmax picks the same first worst candidate
+        for j in range(d):
+            num = t_sq[:, j]
+            den = sum(lam[s] * t_sq[:, (j + s) % d] for s in range(d))
+            total += np.where((den == 0.0) & (num == 0.0), 0.0, num / den)
+    worst = int(np.argmax(total))
+    worst_value = float(total[worst])
+    return CyclicCheckResult(
+        worst_value <= d + 1e-9, worst_value, tuple(t[worst].tolist()), float(d)
+    )
 
 
 def sep_floor_estimate(
@@ -188,33 +176,39 @@ def sep_floor_estimate(
     """Seesaw minimum of <a,b|W|a,b> over unit product vectors.
 
     Alternately eigensolves the d x d operators obtained by conditioning W on
-    one side's current vector. Returns the lowest value over restarts;
-    deterministic for a given seed. Values below -1e-6 flag a non-witness.
+    one side's current vector, for all restarts at once; a restart stops once
+    its value moves by less than ``tol``. Returns the lowest value over
+    restarts; deterministic for a given seed. Values below -1e-6 flag a
+    non-witness.
     """
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
+    if iters < 1:
+        raise ValueError("iters must be >= 1")
     mat = w.mat if isinstance(w, Witness) else w
     if len(mat.dims) != 2:
         raise ValueError("seesaw expects a bipartite operator")
     da, db = mat.dims
     t = mat.data.reshape(da, db, da, db)
     rng = np.random.default_rng(rng_seed)
+    b = np.empty((restarts, db), dtype=complex)
+    for r in range(restarts):
+        rng.standard_normal((2, da))  # the starting a: the first half-step replaces it
+        v = rng.standard_normal(db) + 1j * rng.standard_normal(db)
+        b[r] = v / np.linalg.norm(v)
+    # rows of b and prev hold the restarts still iterating; a finished
+    # restart leaves them and its last value folds into best
     best = np.inf
-    for _ in range(restarts):
-        a = rng.standard_normal(da) + 1j * rng.standard_normal(da)
-        b = rng.standard_normal(db) + 1j * rng.standard_normal(db)
-        a /= np.linalg.norm(a)
-        b /= np.linalg.norm(b)
-        prev = np.inf
-        for _ in range(iters):
-            mb = np.einsum("ikjl,k,l->ij", t, b.conj(), b, optimize=True)
-            vals, vecs = np.linalg.eigh((mb + mb.conj().T) / 2)
-            a = vecs[:, 0]
-            ma = np.einsum("ikjl,i,j->kl", t, a.conj(), a, optimize=True)
-            vals, vecs = np.linalg.eigh((ma + ma.conj().T) / 2)
-            b = vecs[:, 0]
-            val = float(vals[0])
-            if abs(prev - val) < tol:
-                break
-            prev = val
-        if val < best:
-            best = val
-    return best
+    prev = np.full(restarts, np.inf)
+    for _ in range(iters):
+        mb = np.einsum("ikjl,rk,rl->rij", t, b.conj(), b)
+        a = np.linalg.eigh((mb + mb.conj().transpose(0, 2, 1)) / 2)[1][:, :, 0]
+        ma = np.einsum("ikjl,ri,rj->rkl", t, a.conj(), a)
+        vals, vecs = np.linalg.eigh((ma + ma.conj().transpose(0, 2, 1)) / 2)
+        b, val = vecs[:, :, 0], vals[:, 0]
+        done = np.abs(prev - val) < tol
+        best = np.min(val[done], initial=best)
+        b, prev = b[~done], val[~done]
+        if not prev.size:
+            break
+    return float(np.min(prev, initial=best))

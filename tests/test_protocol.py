@@ -134,6 +134,10 @@ class TestOverlapIdentity:
             raw = bell_overlap_raw(rho, net)
             assert abs(raw - (1 / 8 - w.expectation(rho) / 4)) <= 1e-10
 
+    def test_dims_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="do not match network"):
+            bell_overlap_raw(MIXED2, choi_network())
+
 
 class TestDetectExact:
     def test_psi_minus_detected(self):

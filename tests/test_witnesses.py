@@ -128,6 +128,77 @@ class TestCyclicInequality:
         assert res.worst_value >= 5.0 - 1e-9
 
 
+def _cyclic_reference(lam, trials, rng_seed):
+    """Per-candidate scalar loop: strict-> scan, stops at the first inf."""
+    d = len(lam)
+    rng = np.random.default_rng(rng_seed)
+    candidates = [tuple(1.0 if i == j else 0.0 for i in range(d)) for j in range(d)]
+    candidates.append((1.0,) * d)
+    for _ in range(trials):
+        candidates.append(tuple(rng.random(d)))
+    worst_value, worst_t = -np.inf, candidates[0]
+    for t in candidates:
+        t_sq = [x * x for x in t]
+        val = 0.0
+        for j in range(d):
+            den = sum(lam[s] * t_sq[(j + s) % d] for s in range(d))
+            if den == 0.0:
+                if t_sq[j] == 0.0:
+                    continue
+                val = float("inf")
+                break
+            val += t_sq[j] / den
+        if val > worst_value:
+            worst_value, worst_t = val, t
+            if np.isinf(val):
+                break
+    return worst_value <= d + 1e-9, float(worst_value), worst_t
+
+
+class TestCyclicReference:
+    @pytest.mark.parametrize(
+        "lam",
+        [
+            (0.5, 0.5),
+            (0.7, 0.3),
+            (1 / 3,) * 3,
+            (2 / 3, 1 / 3, 0.0),
+            (0.5, 0.3, 0.2),
+            (0.25,) * 4,
+            (0.75, 0.25, 0.0, 0.0),
+            (0.5, 0.0, 0.5, 0.0),
+            (0.2,) * 5,
+            (0.4, 0.1, 0.2, 0.1, 0.2),
+        ],
+    )
+    def test_matches_loop(self, lam):
+        for seed in (0, 1, 7, 123):
+            res = cyclic_inequality_check(lam, trials=500, rng_seed=seed)
+            assert (res.passed, res.worst_value, res.worst_t) == _cyclic_reference(lam, 500, seed)
+
+    def test_inf_case_matches_loop(self):
+        for seed in (0, 3):
+            res = cyclic_inequality_check((0.0, 1.0, 0.0), trials=50, rng_seed=seed)
+            assert np.isinf(res.worst_value)
+            assert (res.passed, res.worst_value, res.worst_t) == _cyclic_reference(
+                (0.0, 1.0, 0.0), 50, seed
+            )
+
+    def test_corner_worst_matches_loop(self):
+        # t = e_j gives 1/lambda_0 = 5, above every random candidate
+        lam = (0.2, 0.5, 0.3)
+        ref = _cyclic_reference(lam, 200, 4)
+        assert ref[2] == (1.0, 0.0, 0.0)
+        res = cyclic_inequality_check(lam, trials=200, rng_seed=4)
+        assert (res.passed, res.worst_value, res.worst_t) == ref
+
+    @pytest.mark.parametrize("lam", [(2 / 3, 1 / 3, 0.0), (0.2, 0.5, 0.3)])
+    def test_worst_t_holds_python_floats(self, lam):
+        res = cyclic_inequality_check(lam, trials=100, rng_seed=2)
+        assert len(res.worst_t) == len(lam)
+        assert all(type(x) is float for x in res.worst_t)
+
+
 class TestBreuerHall:
     def test_requires_even_dimension_at_least_four(self):
         with pytest.raises(ValueError):
@@ -166,7 +237,86 @@ class TestWitnessValidation:
             Witness(Mat(m, (2, 2)), "none", 0.5)
 
 
+def _seesaw_reference(mat, restarts=64, iters=200, rng_seed=0, tol=1e-10):
+    """One restart at a time, each iterated until its value settles."""
+    da, db = mat.dims
+    t = mat.data.reshape(da, db, da, db)
+    rng = np.random.default_rng(rng_seed)
+    best = np.inf
+    for _ in range(restarts):
+        a = rng.standard_normal(da) + 1j * rng.standard_normal(da)
+        b = rng.standard_normal(db) + 1j * rng.standard_normal(db)
+        a /= np.linalg.norm(a)
+        b /= np.linalg.norm(b)
+        prev = np.inf
+        for _ in range(iters):
+            mb = np.einsum("ikjl,k,l->ij", t, b.conj(), b, optimize=True)
+            vals, vecs = np.linalg.eigh((mb + mb.conj().T) / 2)
+            a = vecs[:, 0]
+            ma = np.einsum("ikjl,i,j->kl", t, a.conj(), a, optimize=True)
+            vals, vecs = np.linalg.eigh((ma + ma.conj().T) / 2)
+            b = vecs[:, 0]
+            val = float(vals[0])
+            if abs(prev - val) < tol:
+                break
+            prev = val
+        best = min(best, val)
+    return best
+
+
+def _product_sample_min(mat, samples, rng_seed):
+    """Smallest <a,b|W|a,b> over random unit product vectors."""
+    da, db = mat.dims
+    rng = np.random.default_rng(rng_seed)
+    a = rng.standard_normal((samples, da)) + 1j * rng.standard_normal((samples, da))
+    b = rng.standard_normal((samples, db)) + 1j * rng.standard_normal((samples, db))
+    a /= np.linalg.norm(a, axis=1, keepdims=True)
+    b /= np.linalg.norm(b, axis=1, keepdims=True)
+    ab = (a[:, :, None] * b[:, None, :]).reshape(samples, da * db)
+    return float(np.min(np.real(np.einsum("ni,ij,nj->n", ab.conj(), mat.data, ab))))
+
+
 class TestSepFloor:
+    def test_rejects_empty_search(self):
+        w = two_qubit_pt_witness()
+        with pytest.raises(ValueError, match="restarts"):
+            sep_floor_estimate(w, restarts=0)
+        with pytest.raises(ValueError, match="iters"):
+            sep_floor_estimate(w, iters=0)
+
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            choi_witness,
+            lambda: reduction_witness(3),
+            lambda: breuer_hall_witness(4),
+            two_qubit_pt_witness,
+            lambda: decomposable_witness(random_state((3, 3), rng_seed=11, rank=1)),
+        ],
+    )
+    def test_matches_per_restart_loop(self, factory):
+        w = factory()
+        for seed in (0, 3):
+            floor = sep_floor_estimate(w, rng_seed=seed)
+            assert abs(floor - _seesaw_reference(w.mat, rng_seed=seed)) <= 1e-9
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_below_random_product_states(self, d):
+        rng = np.random.default_rng(40 + d)
+        for _ in range(3):
+            g = rng.standard_normal((d * d, d * d)) + 1j * rng.standard_normal((d * d, d * d))
+            m = Mat((g + g.conj().T) / 2, (d, d))
+            floor = sep_floor_estimate(m, restarts=16, rng_seed=1)
+            assert floor <= _product_sample_min(m, 1024, int(rng.integers(2**31))) + 1e-9
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_known_product_minimum(self, d):
+        # 1 - 2|00><00| has <ab|.|ab> = 1 - 2|a_0 b_0|^2, minimum -1 at a = b = e_0
+        m = np.eye(d * d, dtype=complex)
+        m[0, 0] = -1.0
+        floor = sep_floor_estimate(Mat(m, (d, d)), restarts=16, rng_seed=2)
+        assert abs(floor + 1.0) <= 1e-9
+
     def test_constant_witness(self):
         floor = sep_floor_estimate(Mat(np.eye(4) / 4, (2, 2)), restarts=8, rng_seed=0)
         assert abs(floor - 0.25) <= 1e-9
