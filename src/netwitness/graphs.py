@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import protocol
+from . import networks, protocol
 from .tensor import DensityOperator, Mat, density
 from .witnesses import Witness
 
@@ -151,18 +151,19 @@ def graph_witness(g: GraphSpec, labels) -> Witness:
     return Witness(Mat(m, (2,) * g.n), "graph", 0.5)
 
 
+def _uniform_pairing(kets) -> np.ndarray:
+    """(1/|S|) sum over the kets |v> of |v><v| (x) |v><v| across layers 2 and 3."""
+    projectors = [np.outer(v, v.conj()) for v in kets]
+    return networks.product_mixture((1 / len(projectors), p, p) for p in projectors)
+
+
 def graph_network(g: GraphSpec, labels) -> DensityOperator:
     """Uniform pairing of graph-basis projectors across layers 2 and 3."""
     labels = [_parse_label(x, g.n) for x in labels]
     if not labels:
         raise ValueError("label set must be non-empty")
-    dim = 2**g.n
-    m = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for bits in labels:
-        v = graph_basis_state(g, bits)
-        p = np.outer(v, v.conj())
-        m += np.kron(p, p) / len(labels)
-    return density(m, (2,) * (2 * g.n))
+    kets = [graph_basis_state(g, bits) for bits in labels]
+    return density(_uniform_pairing(kets), (2,) * (2 * g.n))
 
 
 def graph_measurement_circuit(g: GraphSpec, sigma: DensityOperator) -> float:
@@ -186,9 +187,6 @@ def graph_measurement_circuit(g: GraphSpec, sigma: DensityOperator) -> float:
         h_all = np.kron(h_all, np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2))
     u = h_all @ np.diag(cz_diag)
     return float(np.real((u @ sigma.data @ u.conj().T)[0, 0]))
-
-
-# --- GHZ family (kept separate from the generic graph machinery) ---
 
 
 def ghz_ket(a: int = 0, b: int = 0, c: int = 0) -> np.ndarray:
@@ -216,55 +214,20 @@ def ghz_witness() -> Witness:
 
 def ghz_network() -> DensityOperator:
     """Uniform pairing of the eight GHZ-family projectors across two layers."""
-    m = np.zeros((64, 64))
-    for a in (0, 1):
-        for b in (0, 1):
-            for c in (0, 1):
-                v = ghz_ket(a, b, c)
-                p = np.outer(v, v)
-                m += np.kron(p, p) / 8
-    return density(m, (2,) * 6)
+    kets = [ghz_ket(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+    return density(_uniform_pairing(kets), (2,) * 6)
 
 
 def multi_overlap_raw(rho: DensityOperator, net: DensityOperator, target) -> float:
     """<target|K|target> for an n-qubit layer; the unscaled contraction value."""
-    dim = int(np.sqrt(net.data.shape[0]))
-    k = protocol.teleport_contraction(rho.data, net.data, dim, dim)
-    t = np.asarray(target, dtype=complex)
-    return float(np.real(t.conj() @ k @ t))
+    return protocol.target_overlap(rho, net, target)
 
 
 def detect_multi_exact(rho: DensityOperator, net: DensityOperator, w: Witness,
-                       target, eta: float = 0.5,
-                       provenance: dict | None = None) -> protocol.DetectionReport:
-    """Exact n-party protocol run: vertex-wise Bell pairs, then target readout."""
-    dim = int(np.sqrt(net.data.shape[0]))
-    if rho.data.shape[0] != dim:
-        raise ValueError("state dimension does not match network layer")
-    k = protocol.teleport_contraction(rho.data, net.data, dim, dim)
-    trk = float(np.real(np.trace(k)))
-    success = trk / dim
-    if success <= protocol.MIN_SUCCESS_PROB:
-        raise ValueError("post-selection probability vanishes")
-    t = np.asarray(target, dtype=complex)
-    raw = float(np.real(t.conj() @ k @ t))
-    fraction = raw / trk
-    wexp = float(np.real(np.trace(w.mat.data @ rho.data)))
-    verdict = "detected" if fraction > eta else "not_detected"
-    if abs(fraction - eta) > protocol.VERDICT_BAND and (fraction > eta) != (wexp < 0):
-        raise protocol.ConsistencyError(
-            f"fraction {fraction:.12g} vs eta {eta:.12g} disagrees with tr[rho W] = {wexp:.12g}"
-        )
-    return protocol.DetectionReport(
-        success_prob=success,
-        singlet_fraction=fraction,
-        eta=eta,
-        verdict=verdict,
-        witness_expectation=wexp,
-        raw_overlap=raw,
-        raw_threshold=eta * trk,
-        provenance=provenance or {},
-    )
+                       target, provenance: dict | None = None) -> protocol.DetectionReport:
+    """Exact n-party protocol run: vertex-wise Bell pairs, then target readout
+    against the threshold ``w.eta``."""
+    return protocol.detect_target(rho, net, w.mat, w.eta, target, provenance)[0]
 
 
 def _read_only(ket: np.ndarray) -> np.ndarray:

@@ -21,7 +21,6 @@ from .tensor import (
     Mat,
     density,
     hermitian_eigen,
-    partial_trace,
     partial_transpose,
 )
 from .witnesses import Witness, check_lambda_vec, two_qubit_pt_witness
@@ -76,6 +75,14 @@ def _hermitize(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2
 
 
+def product_mixture(terms) -> np.ndarray:
+    """sum_j c_j A_j (x) B_j over (c_j, A_j, B_j) terms, added in the given order.
+
+    Every network family below is such a sum of products across A2B2:A3B3.
+    """
+    return sum(c * np.kron(a, b) for c, a, b in terms)
+
+
 def two_qubit_network() -> NetworkState:
     """Mixture of |psi-><psi-| (x) |phi+><phi+| with its orthogonal complement.
 
@@ -85,9 +92,10 @@ def two_qubit_network() -> NetworkState:
     psi_minus = bell.bell_projector(2, 1, 1).data
     phi_plus = bell.bell_projector(2, 0, 0).data
     eye4 = np.eye(4)
-    n = 0.25 * np.kron(psi_minus, phi_plus) + (1 / 12) * np.kron(
-        eye4 - psi_minus, eye4 - phi_plus
-    )
+    n = product_mixture([
+        (0.25, psi_minus, phi_plus),
+        (1 / 12, eye4 - psi_minus, eye4 - phi_plus),
+    ])
     return NetworkState(
         state=density(n, (2, 2, 2, 2)),
         eta=0.5,
@@ -122,7 +130,7 @@ def decomposable_network(q: DensityOperator, lam: float | None = None,
     first = _hermitize((lam * eye - wqt) / (lam * d * d - 1))
     second = _hermitize((lam * eye + wqt) / (lam * d * d + 1))
     p00 = bell.bell_projector(d, 0, 0).data
-    n = c1 * np.kron(first, p00) + c2 * np.kron(second, (eye - p00) / (d * d - 1))
+    n = product_mixture([(c1, first, p00), (c2, second, (eye - p00) / (d * d - 1))])
     return NetworkState(
         state=density(n, (d, d, d, d)),
         eta=1.0 / d,
@@ -150,15 +158,12 @@ def pbd_network(lam, d: int | None = None, family: str = "pbd") -> NetworkState:
     d = len(lam)
     if lam[0] == 0.0:
         raise ValueError("threshold eta would be 0; witness not realizable this way")
-    n = np.zeros((d**4, d**4), dtype=complex)
     wmat = -bell.bell_projector(d, 0, 0).data
     for s in range(d):
         wmat = wmat + lam[s] * bell.bell_row_projector(d, s).data
-        if lam[s] == 0.0:
-            continue
-        for t in range(d):
-            p = bell.bell_projector(d, s, t).data
-            n += (lam[s] / d) * np.kron(p, p)
+    pairs = ((lam[s] / d, bell.bell_projector(d, s, t).data)
+             for s in range(d) if lam[s] != 0.0 for t in range(d))
+    n = product_mixture((c, p, p) for c, p in pairs)
     return NetworkState(
         state=density(n, (d, d, d, d)),
         eta=lam[0],
@@ -200,11 +205,8 @@ def bh_network(d: int) -> NetworkState:
     fp = bell.twisted_flip(d).data
     p00 = bell.bell_projector(d, 0, 0).data
     eye = np.eye(d * d)
-    paired = np.zeros((d**4, d**4), dtype=complex)
-    for s in range(d):
-        for t in range(d):
-            p = bell.bell_projector(d, s, t).data
-            paired += np.kron(p, p) / (d * d)
+    projectors = (bell.bell_projector(d, s, t).data for s in range(d) for t in range(d))
+    paired = product_mixture((1 / (d * d), p, p) for p in projectors)
     n = (
         float(c0) * paired
         + float(c1) * np.kron((eye + fp) / (d * d + d), p00)
@@ -278,9 +280,7 @@ def network_from_decomposition(w: Witness, eta: float, pi_choices=None,
     """Assemble the solved decomposition into a network state."""
     terms, c, k = solve_decomposition(w, eta, pi_choices)
     d = w.d
-    n = np.zeros((d**4, d**4), dtype=complex)
-    for cj, term in zip(c, terms):
-        n += cj * np.kron(term.w.data, term.pi.data)
+    n = product_mixture((cj, term.w.data, term.pi.data) for cj, term in zip(c, terms))
     return NetworkState(
         state=density(n, (d, d, d, d)),
         eta=eta,
@@ -299,14 +299,14 @@ def reconstruct_witness(n, eta: float | None = None) -> Mat:
         mat = n.mat if isinstance(n, DensityOperator) else n
         if eta is None:
             raise ValueError("eta is required for a bare matrix")
+    if len(mat.dims) != 4:
+        raise ValueError("expected a four-factor state")
     d2, d3 = mat.dims[0] * mat.dims[1], mat.dims[2] * mat.dims[3]
     if mat.dims[2] != mat.dims[3]:
         raise ValueError("A3 and B3 factors must have equal dimension")
     p00 = bell.bell_projector(mat.dims[2], 0, 0).data
-    meas = np.kron(np.eye(d2), eta * np.eye(d3) - p00)
-    prod = Mat(mat.data @ meas, mat.dims)
-    out = partial_trace(prod, keep=(0, 1))
-    return Mat(_hermitize(out.data), out.dims)
+    out = np.einsum("axby,yx->ab", mat.data.reshape(d2, d3, d2, d3), eta * np.eye(d3) - p00)
+    return Mat(_hermitize(out), mat.dims[:2])
 
 
 def ppt_report(state) -> dict:

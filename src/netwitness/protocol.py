@@ -95,22 +95,29 @@ def teleport_contraction(rho: np.ndarray, net: np.ndarray, d2: int, d3: int) -> 
     return np.einsum("ij,ixjy->xy", rho, t, optimize=True)
 
 
-def _teleport(rho: DensityOperator, n: NetworkState) -> np.ndarray:
-    """K for rho through n; rejects a state whose dims do not match n."""
-    d = n.d
-    if rho.dims != (d, d):
-        raise ValueError(f"state dims {rho.dims} do not match network d={d}")
-    return teleport_contraction(rho.data, n.state.data, d * d, d * d)
+def _teleport(rho: DensityOperator, net: DensityOperator) -> np.ndarray:
+    """K for rho through a network on layer 2 (x) layer 3; rejects a state
+    whose dims are not the dims of the network's layer 2."""
+    layer = net.dims[: len(net.dims) // 2]
+    if rho.dims != layer:
+        raise ValueError(f"state dims {rho.dims} do not match network layer dims {layer}")
+    dim = rho.data.shape[0]
+    return teleport_contraction(rho.data, net.data, dim, dim)
 
 
-def _contract(rho: DensityOperator, n: NetworkState):
-    """K and tr K for rho through n; rejects mismatched dims and a vanishing
-    post-selection probability."""
-    k = _teleport(rho, n)
+def _contract(rho: DensityOperator, net: DensityOperator):
+    """K and tr K for rho through net; rejects mismatched dims and a vanishing
+    post-selection probability tr K / D."""
+    k = _teleport(rho, net)
     trk = float(np.real(np.trace(k)))
-    if trk / (n.d * n.d) <= MIN_SUCCESS_PROB:
+    if trk / k.shape[0] <= MIN_SUCCESS_PROB:
         raise ValueError("post-selection probability vanishes")
     return k, trk
+
+
+def _readout(target, k: np.ndarray) -> float:
+    t = np.asarray(target, dtype=complex)
+    return float(np.real(t.conj() @ k @ t))
 
 
 def _filtered_state(k: np.ndarray, trk: float, d: int) -> DensityOperator:
@@ -122,7 +129,7 @@ def filtering_channel(rho: DensityOperator, n: NetworkState):
 
     Returns (success probability, filtered state on the readout pair).
     """
-    k, trk = _contract(rho, n)
+    k, trk = _contract(rho, n.state)
     return trk / (n.d * n.d), _filtered_state(k, trk, n.d)
 
 
@@ -138,9 +145,13 @@ def bell_overlap_raw(rho: DensityOperator, n: NetworkState, target=None) -> floa
     With the default target |phi_00> this is the closed-form Bell-outcome
     probability; for the two-qubit family it equals 1/8 - tr[rho W]/4.
     """
-    k = _teleport(rho, n)
-    t = bell.bell_ket(n.d, 0, 0) if target is None else np.asarray(target, dtype=complex)
-    return float(np.real(t.conj() @ k @ t))
+    return target_overlap(rho, n.state, bell.bell_ket(n.d, 0, 0) if target is None else target)
+
+
+def target_overlap(rho: DensityOperator, net: DensityOperator, target) -> float:
+    """<target|K|target> with K the unscaled teleport contraction of rho
+    through the network matrix ``net``."""
+    return _readout(target, _teleport(rho, net))
 
 
 def qudit_hadamard(d: int) -> np.ndarray:
@@ -214,27 +225,34 @@ def detect_exact(rho: DensityOperator, n: NetworkState, w=None,
 
 def _detect(rho: DensityOperator, n: NetworkState, w, provenance):
     """detect_exact's report together with the contraction K and tr K."""
-    wmat = _witness_matrix(n, w)
-    k, trk = _contract(rho, n)
-    phi = bell.bell_ket(n.d, 0, 0)
-    raw = float(np.real(phi.conj() @ k @ phi))
+    return detect_target(rho, n.state, _witness_matrix(n, w), n.eta,
+                         bell.bell_ket(n.d, 0, 0), provenance)
+
+
+def detect_target(rho: DensityOperator, net: DensityOperator, wmat: Mat, eta: float,
+                  target, provenance: dict | None = None):
+    """Exact protocol run through the network matrix ``net``, read out against
+    the ``target`` ket of its last layer, cross-checked against tr[rho W].
+
+    Returns the DetectionReport together with the contraction K and tr K.
+    """
+    k, trk = _contract(rho, net)
+    raw = _readout(target, k)
     fraction = raw / trk
     wexp = float(np.real(np.trace(wmat.data @ rho.data)))
-    verdict = _verdict(fraction, n.eta)
-    if abs(fraction - n.eta) > VERDICT_BAND:
-        if (fraction > n.eta) != (wexp < 0):
-            raise ConsistencyError(
-                f"fraction {fraction:.12g} vs eta {n.eta:.12g} disagrees with "
-                f"tr[rho W] = {wexp:.12g}"
-            )
+    if abs(fraction - eta) > VERDICT_BAND and (fraction > eta) != (wexp < 0):
+        raise ConsistencyError(
+            f"fraction {fraction:.12g} vs eta {eta:.12g} disagrees with "
+            f"tr[rho W] = {wexp:.12g}"
+        )
     report = DetectionReport(
-        success_prob=trk / (n.d * n.d),
+        success_prob=trk / k.shape[0],
         singlet_fraction=fraction,
-        eta=n.eta,
-        verdict=verdict,
+        eta=eta,
+        verdict=_verdict(fraction, eta),
         witness_expectation=wexp,
         raw_overlap=raw,
-        raw_threshold=n.eta * trk,
+        raw_threshold=eta * trk,
         provenance=provenance or {},
     )
     return report, k, trk

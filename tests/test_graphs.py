@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from netwitness import graphs
+from netwitness import graphs, protocol
 from netwitness.graphs import (
     CL4_LABELS,
     GraphSpec,
@@ -23,6 +23,7 @@ from netwitness.graphs import (
 )
 from netwitness.states import random_state
 from netwitness.tensor import density
+from netwitness.witnesses import Witness
 
 X = np.array([[0, 1], [1, 0]])
 Z = np.diag([1.0, -1.0])
@@ -266,3 +267,103 @@ class TestGraphMeasurementCircuit:
             p0 = graph_measurement_circuit(g, sigma)
             v0 = graph_basis_state(g, "0000")
             assert abs(p0 - np.real(v0.conj() @ sigma.data @ v0)) <= 1e-12
+
+
+# --- reference copies of the per-family pairing loops and of the separate
+# n-party detect routine that networks.product_mixture and
+# protocol.detect_target replaced ---
+
+
+def old_ghz_network_matrix():
+    m = np.zeros((64, 64))
+    for a in (0, 1):
+        for b in (0, 1):
+            for c in (0, 1):
+                v = ghz_ket(a, b, c)
+                p = np.outer(v, v)
+                m += np.kron(p, p) / 8
+    return m
+
+
+def old_graph_network_matrix(g, labels):
+    dim = 2**g.n
+    m = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for x in labels:
+        v = graph_basis_state(g, x)
+        p = np.outer(v, v.conj())
+        m += np.kron(p, p) / len(labels)
+    return m
+
+
+def old_detect_multi_exact(rho, net, w, target, eta=0.5, provenance=None):
+    dim = int(np.sqrt(net.data.shape[0]))
+    if rho.data.shape[0] != dim:
+        raise ValueError("state dimension does not match network layer")
+    k = protocol.teleport_contraction(rho.data, net.data, dim, dim)
+    trk = float(np.real(np.trace(k)))
+    success = trk / dim
+    if success <= protocol.MIN_SUCCESS_PROB:
+        raise ValueError("post-selection probability vanishes")
+    t = np.asarray(target, dtype=complex)
+    raw = float(np.real(t.conj() @ k @ t))
+    fraction = raw / trk
+    wexp = float(np.real(np.trace(w.mat.data @ rho.data)))
+    verdict = "detected" if fraction > eta else "not_detected"
+    if abs(fraction - eta) > protocol.VERDICT_BAND and (fraction > eta) != (wexp < 0):
+        raise protocol.ConsistencyError("verdict disagrees with tr[rho W]")
+    return protocol.DetectionReport(
+        success_prob=success,
+        singlet_fraction=fraction,
+        eta=eta,
+        verdict=verdict,
+        witness_expectation=wexp,
+        raw_overlap=raw,
+        raw_threshold=eta * trk,
+        provenance=provenance or {},
+    )
+
+
+class TestAgainstOldCode:
+    def test_networks_bit_identical(self):
+        g = cl4_graph()
+        pairs = [
+            (ghz_network().data, old_ghz_network_matrix()),
+            (graph_network(g, CL4_LABELS).data, old_graph_network_matrix(g, CL4_LABELS)),
+        ]
+        for got, expect in pairs:
+            expect = np.asarray(expect, dtype=complex)
+            assert got.shape == expect.shape
+            assert got.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("family", ["ghz", "cl4"])
+    def test_detect_reports_equal(self, family):
+        g = cl4_graph()
+        if family == "ghz":
+            net, w, target, n = ghz_network(), ghz_witness(), ghz_ket(), 3
+        else:
+            net, w = graph_network(g, CL4_LABELS), graph_witness(g, CL4_LABELS)
+            target, n = graph_basis_state(g, "0000"), 4
+        for seed in range(10):
+            rho = random_state((2,) * n, rng_seed=seed)
+            prov = {"seed": seed}
+            got = graphs.detect_multi_exact(rho, net, w, target, provenance=prov)
+            assert got.to_dict() == old_detect_multi_exact(rho, net, w, target,
+                                                           provenance=prov).to_dict()
+
+
+class TestDetectMultiInputs:
+    def test_threshold_read_from_witness(self):
+        w = Witness(ghz_witness().mat, "ghz", 0.4)
+        rep = graphs.detect_multi_exact(dm(ghz_ket(), (2, 2, 2)), ghz_network(), w, ghz_ket())
+        assert rep.eta == w.eta
+        assert np.isclose(rep.raw_threshold, 0.4 * 8 * rep.success_prob, rtol=1e-12)
+
+    def test_detect_rejects_state_off_the_layer_dims(self):
+        rho = density(np.eye(8) / 8, (2, 4))
+        with pytest.raises(ValueError, match="do not match network"):
+            graphs.detect_multi_exact(rho, ghz_network(), ghz_witness(), ghz_ket())
+
+    def test_overlap_rejects_state_of_wrong_size(self):
+        rho = density(np.eye(4) / 4, (2, 2))
+        with pytest.raises(ValueError, match="do not match network"):
+            multi_overlap_raw(rho, ghz_network(), ghz_ket())

@@ -20,7 +20,7 @@ from netwitness.networks import (
     two_qubit_network,
 )
 from netwitness.states import random_state
-from netwitness.tensor import Mat, density, kron, partial_transpose, proj
+from netwitness.tensor import Mat, density, kron, partial_trace, partial_transpose, proj
 from netwitness.witnesses import (
     breuer_hall_witness,
     choi_witness,
@@ -271,3 +271,151 @@ def test_recon_constant_must_be_positive():
     net = two_qubit_network()
     with pytest.raises(ValueError, match="positive"):
         NetworkState(net.state, net.eta, -1.0, "broken", net.witness)
+
+
+# --- reference copies of the per-family accumulation loops and of the dense
+# reconstruction that networks.product_mixture and the one-einsum
+# reconstruct_witness replaced; reports pin the builders' exact bits ---
+
+
+def old_two_qubit_matrix():
+    psi_minus = bell.bell_projector(2, 1, 1).data
+    phi_plus = bell.bell_projector(2, 0, 0).data
+    eye4 = np.eye(4)
+    return 0.25 * np.kron(psi_minus, phi_plus) + (1 / 12) * np.kron(
+        eye4 - psi_minus, eye4 - phi_plus
+    )
+
+
+def old_decomposable_matrix(q, lam=None):
+    d = q.dims[0]
+    wq = partial_transpose(q.mat, {1})
+    if lam is None:
+        lam = float(np.max(np.abs(np.linalg.eigh(wq.data)[0])))
+    denom = d**3 * lam + d - 2
+    c1 = (d * d * lam - 1) / denom
+    c2 = (d - 1) * (d * d * lam + 1) / denom
+    wqt = wq.data.T
+    eye = np.eye(d * d)
+    first = (lam * eye - wqt) / (lam * d * d - 1)
+    first = (first + first.conj().T) / 2
+    second = (lam * eye + wqt) / (lam * d * d + 1)
+    second = (second + second.conj().T) / 2
+    p00 = bell.bell_projector(d, 0, 0).data
+    return c1 * np.kron(first, p00) + c2 * np.kron(second, (eye - p00) / (d * d - 1))
+
+
+def old_pbd_matrix(lam):
+    d = len(lam)
+    n = np.zeros((d**4, d**4), dtype=complex)
+    for s in range(d):
+        if lam[s] == 0.0:
+            continue
+        for t in range(d):
+            p = bell.bell_projector(d, s, t).data
+            n += (lam[s] / d) * np.kron(p, p)
+    return n
+
+
+def old_bh_matrix(d):
+    from fractions import Fraction
+
+    denom = 3 * d * d - 3 * d + 2
+    c0 = Fraction(2 * d * d - 2 * d, denom)
+    c1 = Fraction(d + 1, denom)
+    c2 = 1 - c0 - c1
+    fp = bell.twisted_flip(d).data
+    p00 = bell.bell_projector(d, 0, 0).data
+    eye = np.eye(d * d)
+    paired = np.zeros((d**4, d**4), dtype=complex)
+    for s in range(d):
+        for t in range(d):
+            p = bell.bell_projector(d, s, t).data
+            paired += np.kron(p, p) / (d * d)
+    return (
+        float(c0) * paired
+        + float(c1) * np.kron((eye + fp) / (d * d + d), p00)
+        + float(c2) * np.kron((eye - fp) / (d * d - d), (eye - p00) / (d * d - 1))
+    )
+
+
+def old_decomposition_matrix(w, eta):
+    terms, c, _ = solve_decomposition(w, eta)
+    d = w.d
+    n = np.zeros((d**4, d**4), dtype=complex)
+    for cj, term in zip(c, terms):
+        n += cj * np.kron(term.w.data, term.pi.data)
+    return n
+
+
+def old_reconstruct(mat, eta):
+    d2, d3 = mat.dims[0] * mat.dims[1], mat.dims[2] * mat.dims[3]
+    p00 = bell.bell_projector(mat.dims[2], 0, 0).data
+    meas = np.kron(np.eye(d2), eta * np.eye(d3) - p00)
+    out = partial_trace(Mat(mat.data @ meas, mat.dims), keep=(0, 1))
+    return Mat((out.data + out.data.conj().T) / 2, out.dims)
+
+
+def assert_same_bits(got, expect):
+    # stricter than np.array_equal: a -0.0 entry prints as -0.0 in the report
+    expect = np.asarray(expect, dtype=complex)
+    assert got.shape == expect.shape
+    assert got.tobytes() == expect.tobytes()
+
+
+Q3 = random_state((3, 3), rng_seed=4, rank=1)
+
+FAMILIES = [
+    ("two-qubit", two_qubit_network, old_two_qubit_matrix),
+    ("decomposable", lambda: decomposable_network(Q3), lambda: old_decomposable_matrix(Q3)),
+    ("flip3", lambda: flip_network(3),
+     lambda: old_decomposable_matrix(density(bell.bell_projector(3, 0, 0).data, (3, 3)), 1 / 3)),
+    ("pbd4", lambda: pbd_network((0.4, 0.3, 0.2, 0.1)),
+     lambda: old_pbd_matrix((0.4, 0.3, 0.2, 0.1))),
+    ("pbd-zero-weight", lambda: pbd_network((0.5, 0.0, 0.5)),
+     lambda: old_pbd_matrix((0.5, 0.0, 0.5))),
+    ("choi", choi_network, lambda: old_pbd_matrix((2 / 3, 1 / 3, 0.0))),
+    ("smolin", smolin_network, lambda: old_pbd_matrix((0.5, 0.5))),
+    ("bh4", lambda: bh_network(4), lambda: old_bh_matrix(4)),
+    ("bh6", lambda: bh_network(6), lambda: old_bh_matrix(6)),
+    ("decomposition", lambda: network_from_decomposition(decomposable_witness(Q3), 0.6),
+     lambda: old_decomposition_matrix(decomposable_witness(Q3), 0.6)),
+]
+
+
+@pytest.mark.parametrize("name,build,old", FAMILIES, ids=[f[0] for f in FAMILIES])
+def test_product_mixture_matches_old_loop_bit_for_bit(name, build, old):
+    assert_same_bits(build().state.data, old())
+
+
+@pytest.mark.parametrize("name,build,old", [f for f in FAMILIES if f[0] != "bh6"],
+                         ids=[f[0] for f in FAMILIES if f[0] != "bh6"])
+def test_reconstruction_matches_dense_reference_on_families(name, build, old):
+    net = build()
+    got = reconstruct_witness(net)
+    expect = old_reconstruct(net.state.mat, net.eta)
+    assert got.dims == expect.dims
+    assert np.max(np.abs(got.data - expect.data)) <= 1e-15
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_reconstruction_matches_dense_reference_on_random_matrices(d):
+    for seed in range(5):
+        mat = random_state((d,) * 4, rng_seed=seed).mat
+        for eta in (1 / d, 0.7):
+            got = reconstruct_witness(mat, eta)
+            expect = old_reconstruct(mat, eta)
+            assert got.dims == expect.dims == (d, d)
+            assert np.max(np.abs(got.data - expect.data)) <= 1e-15
+
+
+def test_pbd3_reported_reconstruction_error_unchanged():
+    net = pbd_network((2 / 3, 1 / 3, 0.0))
+    target = net.recon_constant * net.witness.data.T
+    old_err = float(np.max(np.abs(old_reconstruct(net.state.mat, net.eta).data - target)))
+    assert recon_error(net) == old_err
+
+
+def test_reconstruction_rejects_non_four_factor_input():
+    with pytest.raises(ValueError, match="four-factor"):
+        reconstruct_witness(Mat(np.eye(4) / 4, (2, 2)), 0.5)
