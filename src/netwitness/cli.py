@@ -4,12 +4,23 @@ Subcommands: witness build, network build, verify reconstruction, verify ppt,
 protocol run, protocol shots, scan choi-bound-entangled, graph demo. Every
 run emits a deterministic JSON (or CSV) report; exit code 0 on success, 1 on
 verification failure, 2 on usage errors.
+
+The family commands look ``--family`` up in one table, ``FAMILIES``. Each
+row pairs a witness with the network state that realizes it, so every name,
+aliases included, serves every family command. ``--d`` defaults to the row's
+local dimension; a row without one takes d = len(--lambda) and is the only
+kind that accepts ``--lambda``. A ``--d`` or ``--eta`` that the built object
+does not carry is a usage error, never silently replaced. Named input states
+come from the second table, ``STATES``.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from collections.abc import Callable
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -22,230 +33,220 @@ RECON_TOL = 1e-9
 PPT_PASS_FLOOR = -1e-10
 PPT_FAIL_CEILING = -1e-6
 
+_PPT_TWO_TWO = tuple((cut, ">=", PPT_PASS_FLOOR)
+                     for cut in ("A2B2:A3B3", "A2A3:B2B3", "A2B3:B2A3"))
+_PPT_A2A3 = (("A2A3:B2B3", ">=", PPT_PASS_FLOOR),)
+_NPT_A2A3 = (("A2A3:B2B3", "<", PPT_FAIL_CEILING),)
+
+
+@dataclass(frozen=True)
+class Family:
+    """A witness family with the network state that realizes it.
+
+    The builders are called as ``witness(d, lam, seed)`` and
+    ``network(d, lam, seed, eta)``. ``d`` is the default local dimension
+    (None: d = len(lam)); ``ppt(d)`` is the documented partial-transpose
+    profile, a sequence of (cut, relation, bound) checks for `verify ppt`.
+    """
+
+    d: int | None
+    witness: Callable
+    network: Callable
+    ppt: Callable = lambda d: ()
+
+
+def _seeded_q(d: int, seed: int):
+    return states.random_state((d, d), rng_seed=seed, rank=1)
+
+
+def _decomposable_network(d, lam, seed, eta):
+    q = _seeded_q(d, seed)
+    if eta is None:
+        return networks.decomposable_network(q)
+    # raised threshold: assemble through the general two-term split
+    w = witnesses.decomposable_witness(q)
+    return networks.network_from_decomposition(w, eta, family=w.family)
+
+
+def _bell_state(d: int, s: int = 0, t: int = 0) -> DensityOperator:
+    v = bell.bell_ket(d, s, t)
+    return density(np.outer(v, v.conj()), (d, d))
+
+
+_TWO_QUBIT = Family(2, lambda *_: witnesses.two_qubit_pt_witness(),
+                    lambda *_: networks.two_qubit_network())
+_PBD = Family(None, lambda d, lam, *_: witnesses.bell_diagonal_witness(lam),
+              lambda d, lam, *_: networks.pbd_network(lam))
+_BH = Family(4, lambda d, *_: witnesses.breuer_hall_witness(d),
+             lambda d, *_: networks.bh_network(d))
+FAMILIES = {
+    "two-qubit": _TWO_QUBIT,
+    "two-qubit-pt": _TWO_QUBIT,
+    "flip": Family(2, lambda d, *_: witnesses.decomposable_witness(_bell_state(d)),
+                   lambda d, *_: networks.flip_network(d), lambda d: _PPT_A2A3),
+    "decomposable": Family(3, lambda d, lam, seed: witnesses.decomposable_witness(
+        _seeded_q(d, seed)), _decomposable_network),
+    "pbd": _PBD,
+    "bell-diagonal": _PBD,
+    "choi": Family(3, lambda *_: witnesses.choi_witness(), lambda *_: networks.choi_network(),
+                   lambda d: _NPT_A2A3),
+    "reduction": Family(3, lambda d, *_: witnesses.reduction_witness(d),
+                        lambda d, *_: networks.reduction_network(d),
+                        lambda d: _PPT_TWO_TWO if d == 2 else _NPT_A2A3),
+    "smolin": Family(2, lambda *_: witnesses.bell_diagonal_witness((0.5, 0.5), family="smolin"),
+                     lambda *_: networks.smolin_network(), lambda d: _PPT_TWO_TWO),
+    "bh": _BH,
+    "breuer-hall": _BH,
+}
+
+
+# name: (whether it takes --fidelity, builder(d, fidelity))
+STATES = {
+    "psi-minus": (False, lambda d, f: _bell_state(2, 1, 1)),
+    "phi-plus": (False, lambda d, f: _bell_state(d)),
+    "maximally-mixed": (False, lambda d, f: density(np.eye(d * d) / (d * d), (d, d))),
+    "isotropic": (True, states.isotropic_state),
+}
+
 
 def _parse_lambda(text: str):
-    values = tuple(float(Fraction(part.strip())) for part in text.split(","))
+    try:
+        values = tuple(float(Fraction(part.strip())) for part in text.split(","))
+    except ArithmeticError as exc:
+        raise ValueError(f"invalid --lambda {text!r}: {exc}") from None
     return {"text": text, "values": list(values)}, values
 
 
-def build_witness(family: str, d: int | None, lam):
-    if family in ("two-qubit", "two-qubit-pt"):
-        return witnesses.two_qubit_pt_witness()
-    if family == "choi":
-        return witnesses.choi_witness()
-    if family == "reduction":
-        return witnesses.reduction_witness(d or 3)
-    if family in ("bell-diagonal", "pbd"):
-        if lam is None:
-            raise ValueError("--lambda is required for the Bell-diagonal family")
-        return witnesses.bell_diagonal_witness(lam)
-    if family in ("breuer-hall", "bh"):
-        return witnesses.breuer_hall_witness(d or 4)
-    if family == "flip":
-        dd = d or 2
-        q = density(bell.bell_projector(dd, 0, 0).data, (dd, dd))
-        return witnesses.decomposable_witness(q)
-    raise ValueError(f"unknown witness family {family!r}")
+def _build(part: str, family: str, d: int | None, lam, *args):
+    row = FAMILIES[family]
+    if (lam is None) == (row.d is None):
+        rule = "is required for" if row.d is None else "does not apply to"
+        raise ValueError(f"--lambda {rule} the {family} family")
+    built = getattr(row, part)(row.d if d is None else d, lam, *args)
+    if d is not None and built.d != d:
+        raise ValueError(f"--d {d} does not match the {family} family, which has d = {built.d}")
+    return built
+
+
+def build_witness(family: str, d: int | None, lam, seed: int = 0):
+    return _build("witness", family, d, lam, seed)
 
 
 def build_network(family: str, d: int | None, lam, seed: int = 0,
                   eta: float | None = None):
-    if eta is not None and family != "decomposable":
-        raise ValueError(f"eta is fixed for the {family} family")
-    if family == "two-qubit":
-        return networks.two_qubit_network()
-    if family == "flip":
-        return networks.flip_network(d or 2)
-    if family == "pbd":
-        if lam is None:
-            raise ValueError("--lambda is required for the pbd family")
-        return networks.pbd_network(lam)
-    if family == "choi":
-        return networks.choi_network()
-    if family == "reduction":
-        return networks.reduction_network(d or 3)
-    if family == "smolin":
-        return networks.smolin_network()
-    if family in ("breuer-hall", "bh"):
-        return networks.bh_network(d or 4)
-    if family == "decomposable":
-        dd = d or 3
-        q = states.random_state((dd, dd), rng_seed=seed, rank=1)
-        if eta is not None:
-            # raised threshold: assemble through the general two-term split
-            w = witnesses.decomposable_witness(q)
-            return networks.network_from_decomposition(w, eta, family="decomposable")
-        return networks.decomposable_network(q)
-    raise ValueError(f"unknown network family {family!r}")
+    n = _build("network", family, d, lam, seed, eta)
+    if eta is not None and n.eta != eta:
+        raise ValueError(f"eta is fixed at {n.eta} for the {family} family")
+    return n
 
 
 def ppt_expectations(family: str, d: int):
     """Documented partial-transpose profiles, checked by `verify ppt`."""
-    all_two_two_ppt = [("A2B2:A3B3", ">=", PPT_PASS_FLOOR),
-                       ("A2A3:B2B3", ">=", PPT_PASS_FLOOR),
-                       ("A2B3:B2A3", ">=", PPT_PASS_FLOOR)]
-    if family == "smolin" or (family == "reduction" and d == 2):
-        return all_two_two_ppt
-    if family == "flip":
-        return [("A2A3:B2B3", ">=", PPT_PASS_FLOOR)]
-    if family in ("reduction", "choi"):
-        return [("A2A3:B2B3", "<", PPT_FAIL_CEILING)]
-    return []
-
-
-def _named_state(name: str, d: int, fidelity: float | None):
-    if name == "psi-minus":
-        v = bell.bell_ket(2, 1, 1)
-        return density(np.outer(v, v.conj()), (2, 2))
-    if name == "phi-plus":
-        v = bell.bell_ket(d, 0, 0)
-        return density(np.outer(v, v.conj()), (d, d))
-    if name == "maximally-mixed":
-        return density(np.eye(d * d) / (d * d), (d, d))
-    if name == "isotropic":
-        if fidelity is None:
-            raise ValueError("--fidelity is required for the isotropic state")
-        return states.isotropic_state(d, fidelity)
-    raise ValueError(f"unknown state {name!r}")
+    return FAMILIES[family].ppt(d)
 
 
 def _load_state(args, d: int) -> DensityOperator:
-    if getattr(args, "state_file", None):
-        import json as _json
-
+    takes_fidelity, make = STATES.get(args.state, (False, None))
+    if takes_fidelity != (args.fidelity is not None):
+        rule = "is required for" if takes_fidelity else "does not apply to"
+        source = f"--state {args.state}" if args.state else "--state-file"
+        raise ValueError(f"--fidelity {rule} {source}")
+    if make is None:
         with open(args.state_file, encoding="utf-8") as fh:
-            mat = Mat.from_dict(_json.load(fh))
-        return DensityOperator(mat)
-    return _named_state(args.state, d, getattr(args, "fidelity", None))
+            return DensityOperator(Mat.from_dict(json.load(fh)))
+    return make(d, args.fidelity)
 
 
-def _emit(args, report) -> None:
+def _family_inputs(args, *echo):
+    """Parsed --lambda and the report's inputs: the family flags plus ``echo``."""
+    lam_echo, lam = _parse_lambda(args.lam) if args.lam else (None, None)
+    inputs = {"family": args.family, "d": args.d, "lambda": lam_echo, "seed": args.seed}
+    inputs.update((name, getattr(args, name)) for name in echo)
+    return lam, inputs
+
+
+def _emit(args, command: str, inputs: dict, outputs: dict) -> None:
+    report = base_report(command, inputs)
+    report["outputs"] = outputs
     text = emit_report(report, args.out, args.format)
     if not args.out:
         sys.stdout.write(text)
 
 
 def cmd_witness_build(args) -> int:
-    lam_echo, lam = (None, None)
-    if args.lam:
-        lam_echo, lam = _parse_lambda(args.lam)
-    w = build_witness(args.family, args.d, lam)
-    report = base_report("witness build", {
-        "family": args.family, "d": args.d, "lambda": lam_echo, "seed": args.seed,
-    })
-    report["outputs"] = w.to_dict()
-    _emit(args, report)
+    lam, inputs = _family_inputs(args)
+    w = build_witness(args.family, args.d, lam, seed=args.seed)
+    _emit(args, "witness build", inputs, w.to_dict())
     return 0
 
 
 def cmd_network_build(args) -> int:
-    lam_echo, lam = (None, None)
-    if args.lam:
-        lam_echo, lam = _parse_lambda(args.lam)
-    n = build_network(args.family, args.d, lam, seed=args.seed,
-                      eta=getattr(args, "eta", None))
-    report = base_report("network build", {
-        "family": args.family, "d": args.d, "lambda": lam_echo,
-        "eta": getattr(args, "eta", None), "seed": args.seed,
-    })
-    report["outputs"] = n.to_dict()
-    _emit(args, report)
+    lam, inputs = _family_inputs(args, "eta")
+    n = build_network(args.family, args.d, lam, seed=args.seed, eta=args.eta)
+    _emit(args, "network build", inputs, n.to_dict())
     return 0
 
 
 def cmd_verify_reconstruction(args) -> int:
-    lam_echo, lam = (None, None)
-    if args.lam:
-        lam_echo, lam = _parse_lambda(args.lam)
-    n = build_network(args.family, args.d, lam, seed=args.seed,
-                      eta=getattr(args, "eta", None))
+    lam, inputs = _family_inputs(args, "eta")
+    n = build_network(args.family, args.d, lam, seed=args.seed, eta=args.eta)
     rec = networks.reconstruct_witness(n)
     target = n.recon_constant * n.witness.data.T
     max_err = float(np.max(np.abs(rec.data - target)))
     passed = max_err <= RECON_TOL
-    report = base_report("verify reconstruction", {
-        "family": args.family, "d": args.d, "lambda": lam_echo,
-        "eta": getattr(args, "eta", None), "seed": args.seed,
-    })
-    report["outputs"] = {
+    _emit(args, "verify reconstruction", inputs, {
         "recon_constant": n.recon_constant,
         "eta": n.eta,
         "max_elementwise_error": max_err,
         "tolerance": RECON_TOL,
         "passed": passed,
-    }
-    _emit(args, report)
+    })
     return 0 if passed else 1
 
 
 def cmd_verify_ppt(args) -> int:
-    lam_echo, lam = (None, None)
-    if args.lam:
-        lam_echo, lam = _parse_lambda(args.lam)
+    lam, inputs = _family_inputs(args)
     n = build_network(args.family, args.d, lam, seed=args.seed)
     rep = networks.ppt_report(n)
-    checks = []
-    passed = True
-    for cut, op, bound in ppt_expectations(args.family, n.d):
-        value = rep[cut]
-        ok = value >= bound if op == ">=" else value < bound
-        passed &= ok
-        checks.append({"cut": cut, "relation": op, "bound": bound,
-                       "value": value, "passed": ok})
-    report = base_report("verify ppt", {
-        "family": args.family, "d": args.d, "lambda": lam_echo, "seed": args.seed,
-    })
-    report["outputs"] = {"min_eig_by_cut": rep, "checks": checks, "passed": passed}
-    _emit(args, report)
+    checks = [{"cut": cut, "relation": op, "bound": bound, "value": rep[cut],
+               "passed": rep[cut] >= bound if op == ">=" else rep[cut] < bound}
+              for cut, op, bound in ppt_expectations(args.family, n.d)]
+    passed = all(check["passed"] for check in checks)
+    _emit(args, "verify ppt", inputs,
+          {"min_eig_by_cut": rep, "checks": checks, "passed": passed})
     return 0 if passed else 1
 
 
-def _protocol_inputs(args):
-    lam_echo, lam = (None, None)
-    if args.lam:
-        lam_echo, lam = _parse_lambda(args.lam)
+def _protocol_inputs(args, *echo):
+    lam, inputs = _family_inputs(args, "state", "state_file", "fidelity", *echo)
     n = build_network(args.family, args.d, lam, seed=args.seed)
-    rho = _load_state(args, n.d)
-    inputs = {
-        "family": args.family, "d": args.d, "lambda": lam_echo,
-        "state": args.state, "state_file": args.state_file,
-        "fidelity": args.fidelity, "seed": args.seed,
-    }
-    return n, rho, inputs
+    return n, _load_state(args, n.d), inputs
 
 
 def cmd_protocol_run(args) -> int:
     n, rho, inputs = _protocol_inputs(args)
     rep = protocol.detect_exact(rho, n, provenance={"state": args.state or "file"})
-    report = base_report("protocol run", inputs)
-    report["outputs"] = rep.to_dict()
-    _emit(args, report)
+    _emit(args, "protocol run", inputs, rep.to_dict())
     return 0
 
 
 def cmd_protocol_shots(args) -> int:
-    n, rho, inputs = _protocol_inputs(args)
-    inputs["shots"] = args.shots
+    n, rho, inputs = _protocol_inputs(args, "shots")
     rep = protocol.detect_shots(rho, n, shots=args.shots, rng_seed=args.seed,
                                 provenance={"state": args.state or "file"})
-    report = base_report("protocol shots", inputs)
-    report["outputs"] = rep.to_dict()
-    _emit(args, report)
+    _emit(args, "protocol shots", inputs, rep.to_dict())
     return 0
 
 
 def cmd_scan_choi(args) -> int:
     result = states.find_choi_detected_ppt(grid_resolution=args.resolution,
                                            rng_seed=args.seed)
-    report = base_report("scan choi-bound-entangled", {
-        "resolution": args.resolution, "seed": args.seed,
-    })
     outputs = result.to_dict()
     if result.found:
         rep = protocol.detect_exact(result.rho, networks.choi_network())
         outputs["protocol"] = rep.to_dict()
-    report["outputs"] = outputs
-    _emit(args, report)
+    _emit(args, "scan choi-bound-entangled",
+          {"resolution": args.resolution, "seed": args.seed}, outputs)
     return 0 if result.found else 1
 
 
@@ -268,37 +269,48 @@ def cmd_graph_demo(args) -> int:
         and identity_residual <= 1e-9
         and abs(cl4_rep.witness_expectation + 0.5) <= 1e-9
     )
-    report = base_report("graph demo", {"seed": args.seed})
-    report["outputs"] = {
+    _emit(args, "graph demo", {"seed": args.seed}, {
         "ghz": ghz_rep.to_dict(),
         "ghz_identity_residual_x16": identity_residual,
         "cl4": cl4_rep.to_dict(),
         "passed": passed,
-    }
-    _emit(args, report)
+    })
     return 0 if passed else 1
 
 
-def _add_common(p: argparse.ArgumentParser, with_lambda: bool = True,
-                with_eta: bool = False) -> None:
-    p.add_argument("--d", type=int, default=None, help="local dimension")
-    if with_lambda:
-        p.add_argument("--lambda", dest="lam", default=None,
-                       help="comma-separated weights, fractions allowed (2/3,1/3,0)")
-    if with_eta:
-        p.add_argument("--eta", type=float, default=None,
-                       help="detection threshold (decomposable family only)")
+def _int_at_least(low: int):
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return integer
+
+
+def _add_output(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="report file (default: stdout)")
     p.add_argument("--format", choices=("json", "csv"), default="json")
+    return p
 
 
-def _add_state_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--state", default=None,
-                   choices=("psi-minus", "phi-plus", "maximally-mixed", "isotropic"))
-    p.add_argument("--state-file", default=None,
-                   help="JSON file with {dims, re, im}")
+def _add_family(p: argparse.ArgumentParser, with_eta: bool = False) -> argparse.ArgumentParser:
+    p.add_argument("--family", required=True, choices=FAMILIES)
+    p.add_argument("--d", type=_int_at_least(2), default=None, help="local dimension")
+    p.add_argument("--lambda", dest="lam", default=None,
+                   help="comma-separated weights, fractions allowed (2/3,1/3,0)")
+    if with_eta:
+        p.add_argument("--eta", type=float, default=None,
+                       help="detection threshold (only families whose threshold is free)")
+    return _add_output(p)
+
+
+def _add_state_flags(p: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--state", choices=STATES)
+    source.add_argument("--state-file", help="JSON file with {dims, re, im}")
     p.add_argument("--fidelity", type=float, default=None)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -308,70 +320,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     top = parser.add_subparsers(dest="group", required=True)
 
-    witness = top.add_parser("witness").add_subparsers(dest="action", required=True)
-    wb = witness.add_parser("build")
-    wb.add_argument("--family", required=True)
-    _add_common(wb)
-    wb.set_defaults(func=cmd_witness_build)
+    def group(name: str):
+        return top.add_parser(name).add_subparsers(dest="action", required=True)
 
-    network = top.add_parser("network").add_subparsers(dest="action", required=True)
-    nb = network.add_parser("build")
-    nb.add_argument("--family", required=True)
-    _add_common(nb, with_eta=True)
-    nb.set_defaults(func=cmd_network_build)
+    _add_family(group("witness").add_parser("build")).set_defaults(func=cmd_witness_build)
+    _add_family(group("network").add_parser("build"), with_eta=True).set_defaults(
+        func=cmd_network_build)
 
-    verify = top.add_parser("verify").add_subparsers(dest="action", required=True)
-    vr = verify.add_parser("reconstruction")
-    vr.add_argument("--family", required=True)
-    _add_common(vr, with_eta=True)
-    vr.set_defaults(func=cmd_verify_reconstruction)
-    vp = verify.add_parser("ppt")
-    vp.add_argument("--family", required=True)
-    _add_common(vp)
-    vp.set_defaults(func=cmd_verify_ppt)
+    verify = group("verify")
+    _add_family(verify.add_parser("reconstruction"), with_eta=True).set_defaults(
+        func=cmd_verify_reconstruction)
+    _add_family(verify.add_parser("ppt")).set_defaults(func=cmd_verify_ppt)
 
-    proto = top.add_parser("protocol").add_subparsers(dest="action", required=True)
-    pr = proto.add_parser("run")
-    pr.add_argument("--family", required=True)
-    _add_common(pr)
-    _add_state_flags(pr)
-    pr.set_defaults(func=cmd_protocol_run)
-    ps = proto.add_parser("shots")
-    ps.add_argument("--family", required=True)
-    ps.add_argument("--shots", type=int, required=True)
-    _add_common(ps)
-    _add_state_flags(ps)
+    proto = group("protocol")
+    _add_state_flags(_add_family(proto.add_parser("run"))).set_defaults(func=cmd_protocol_run)
+    ps = _add_state_flags(_add_family(proto.add_parser("shots")))
+    ps.add_argument("--shots", type=_int_at_least(1), required=True)
     ps.set_defaults(func=cmd_protocol_shots)
 
-    scan = top.add_parser("scan").add_subparsers(dest="action", required=True)
-    sc = scan.add_parser("choi-bound-entangled")
+    sc = _add_output(group("scan").add_parser("choi-bound-entangled"))
     sc.add_argument("--resolution", type=int, default=40)
-    sc.add_argument("--seed", type=int, default=0)
-    sc.add_argument("--out", default=None)
-    sc.add_argument("--format", choices=("json", "csv"), default="json")
     sc.set_defaults(func=cmd_scan_choi)
 
-    graph = top.add_parser("graph").add_subparsers(dest="action", required=True)
-    gd = graph.add_parser("demo")
-    gd.add_argument("--seed", type=int, default=0)
-    gd.add_argument("--out", default=None)
-    gd.add_argument("--format", choices=("json", "csv"), default="json")
-    gd.set_defaults(func=cmd_graph_demo)
-
+    _add_output(group("graph").add_parser("demo")).set_defaults(func=cmd_graph_demo)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "shots", None) is not None and args.shots < 1:
-        parser.error("--shots must be >= 1")
-    if getattr(args, "state", None) is None and getattr(args, "state_file", None) is None:
-        if args.func in (cmd_protocol_run, cmd_protocol_shots):
-            parser.error("--state or --state-file is required")
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         parser.exit(2, f"error: {exc}\n")
 
 

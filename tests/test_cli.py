@@ -1,11 +1,16 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from netwitness.cli import main
+from netwitness.cli import FAMILIES, build_network, build_witness, main, ppt_expectations
+from netwitness.networks import ppt_report
 from netwitness.reports import canonical_json, to_csv
 from netwitness.tensor import Mat
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(args, capsys):
@@ -17,6 +22,14 @@ def run_cli(args, capsys):
 def run_json(args, capsys):
     code, out = run_cli(args, capsys)
     return code, json.loads(out)
+
+
+def usage_error(args, capsys):
+    """Run the CLI, expect exit code 2 with an ``error:`` or usage line; return stderr."""
+    with pytest.raises(SystemExit) as err:
+        main(args)
+    assert err.value.code == 2
+    return capsys.readouterr().err
 
 
 class TestProtocolRun:
@@ -60,6 +73,18 @@ class TestProtocolRun:
         assert err.value.code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_state_and_state_file_together_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(Mat(np.eye(4) / 4, (2, 2)).to_dict()))
+        err = usage_error(["protocol", "run", "--family", "two-qubit",
+                           "--state", "maximally-mixed", "--state-file", str(path)], capsys)
+        assert "not allowed with argument" in err
+
+    def test_unreadable_state_file_is_usage_error(self, capsys, tmp_path):
+        err = usage_error(["protocol", "run", "--family", "two-qubit",
+                           "--state-file", str(tmp_path)], capsys)
+        assert err.startswith("error: ")
+
 
 class TestProtocolShots:
     def test_zero_shots_usage_error(self, capsys):
@@ -92,6 +117,11 @@ class TestVerify:
         assert report["inputs"]["lambda"]["text"] == "2/3,1/3,0"
         # values pass through the fixed %.12e report formatting
         assert abs(report["inputs"]["lambda"]["values"][0] - 2 / 3) <= 1e-12
+
+    def test_lambda_zero_denominator_is_usage_error(self, capsys):
+        err = usage_error(["verify", "reconstruction", "--family", "pbd", "--lambda", "1/0"],
+                          capsys)
+        assert err.startswith("error: ")
 
     @pytest.mark.parametrize("family,extra", [
         ("two-qubit", []),
@@ -163,6 +193,71 @@ class TestBuildCommands:
             main(["witness", "build", "--family", "choi", "--bogus", "1"])
         assert err.value.code == 2
 
+    @pytest.mark.parametrize("args", [
+        ["network", "build", "--family", "choi", "--d", "5"],
+        ["witness", "build", "--family", "two-qubit", "--d", "3"],
+        ["network", "build", "--family", "pbd", "--d", "4", "--lambda", "2/3,1/3,0"],
+        ["witness", "build", "--family", "pbd", "--d", "4", "--lambda", "2/3,1/3,0"],
+        ["network", "build", "--family", "reduction", "--d", "0"],
+        ["network", "build", "--family", "reduction", "--d", "1"],
+        ["network", "build", "--family", "choi", "--lambda", "2/3,1/3,0"],
+        ["witness", "build", "--family", "bh", "--lambda", "1"],
+        ["protocol", "run", "--family", "two-qubit", "--state", "psi-minus",
+         "--fidelity", "0.8"],
+        ["protocol", "run", "--family", "choi", "--state", "maximally-mixed",
+         "--fidelity", "0.8"],
+    ], ids=["d-fixed-family", "d-fixed-witness", "d-vs-lambda", "d-vs-lambda-witness",
+            "d-zero", "d-one", "lambda-fixed-family", "lambda-bh-witness",
+            "fidelity-psi-minus", "fidelity-maximally-mixed"])
+    def test_ignored_input_is_usage_error(self, capsys, args):
+        usage_error(args, capsys)
+
+    def test_fidelity_with_state_file_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(Mat(np.eye(4) / 4, (2, 2)).to_dict()))
+        err = usage_error(["protocol", "run", "--family", "two-qubit", "--state-file",
+                           str(path), "--fidelity", "0.8"], capsys)
+        assert err.startswith("error: ")
+
+
+def family_args(family):
+    """--family plus the --lambda a row without a default d needs."""
+    return ["--family", family] + (["--lambda", "2/3,1/3,0"] if FAMILIES[family].d is None else [])
+
+
+class TestFamilyTable:
+    """Every name in the table, aliases included, serves every family command."""
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_every_command_accepts_every_family(self, capsys, tmp_path, family):
+        out = str(tmp_path / "report")
+        for command in (["witness", "build"], ["network", "build"],
+                        ["verify", "reconstruction"], ["verify", "ppt"]):
+            assert main(command + family_args(family) + ["--out", out]) == 0, command
+            assert json.loads(Path(out).read_text())["outputs"].get("passed", True) is True
+
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    def test_witness_pairs_with_its_network(self, family):
+        lam = (2 / 3, 1 / 3, 0.0) if FAMILIES[family].d is None else None
+        w = build_witness(family, None, lam).mat.data
+        n = build_network(family, None, lam)
+        # the network reconstructs a positive multiple of the row's witness
+        # (d - 2 for the scaled Breuer-Hall witness, 1 for the rest)
+        scale = np.vdot(w, n.witness.data).real / np.vdot(w, w).real
+        assert scale > 0
+        assert np.max(np.abs(n.witness.data - scale * w)) <= 1e-12
+        cuts = {cut for d in (2, 3, 4) for cut, _, _ in ppt_expectations(family, d)}
+        assert cuts <= set(ppt_report(n))
+
+    def test_readme_family_list_matches_table(self):
+        cli_section = README.read_text(encoding="utf-8").split("\n## CLI\n")[1]
+        cli_section = cli_section.split("\n## ")[0]
+        listed = set()
+        for line in cli_section.splitlines():
+            if line.startswith("* `"):
+                listed.update(re.findall(r"`([^`]+)`", line.split(":")[0]))
+        assert listed == set(FAMILIES)
+
 
 class TestScanAndGraph:
     def test_scan_finds_state(self, capsys):
@@ -198,6 +293,11 @@ class TestReportFormats:
         assert code == 0
         report = json.loads(path.read_text())
         assert report["command"] == "witness build"
+
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        err = usage_error(["witness", "build", "--family", "two-qubit", "--out", str(tmp_path)],
+                          capsys)
+        assert err.startswith("error: ")
 
     def test_csv_format(self, capsys):
         code, out = run_cli(
