@@ -168,9 +168,7 @@ def _family_inputs(args, *echo):
 def _emit(args, command: str, inputs: dict, outputs: dict) -> None:
     report = base_report(command, inputs)
     report["outputs"] = outputs
-    text = emit_report(report, args.out, args.format)
-    if not args.out:
-        sys.stdout.write(text)
+    emit_report(report, args.out, args.format)
 
 
 def cmd_witness_build(args) -> int:

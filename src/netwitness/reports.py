@@ -7,8 +7,9 @@ paths enter a report.
 
 from __future__ import annotations
 
-import io
+import contextlib
 import json
+import sys
 
 import numpy as np
 
@@ -37,23 +38,50 @@ def _format_scalar(x) -> str:
     raise TypeError(f"unsupported report value type {type(x)!r}")
 
 
-def canonical_json(obj, indent: int = 0) -> str:
+def _float_block(seq: list, inner: str) -> str:
+    """Item lines of a list of Python floats, each distinct bit pattern
+    (so -0.0 and every NaN payload apart) formatted once."""
+    bits, inverse = np.unique(np.array(seq).view(np.uint64), return_inverse=True)
+    lines = np.array([f"{inner}{v:.12e}" for v in bits.view(np.float64).tolist()], dtype=object)
+    return ",\n".join(lines[inverse].tolist())
+
+
+def _write_json(obj, write, indent: int = 0) -> None:
+    """Pass the canonical JSON text of ``obj`` to ``write`` piece by piece."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, dict):
         if not obj:
-            return "{}"
-        parts = []
+            write("{}")
+            return
+        sep = "{\n"
         for key in sorted(obj):
-            parts.append(f"{inner}{json.dumps(str(key))}: {canonical_json(obj[key], indent + 1)}")
-        return "{\n" + ",\n".join(parts) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(np.asarray(obj).tolist()) if isinstance(obj, np.ndarray) else list(obj)
+            write(f"{sep}{inner}{json.dumps(str(key))}: ")
+            _write_json(obj[key], write, indent + 1)
+            sep = ",\n"
+        write(f"\n{pad}}}")
+    elif isinstance(obj, (list, tuple, np.ndarray)):
+        seq = list(obj.tolist()) if isinstance(obj, np.ndarray) else obj
         if not seq:
-            return "[]"
-        parts = [f"{inner}{canonical_json(v, indent + 1)}" for v in seq]
-        return "[\n" + ",\n".join(parts) + f"\n{pad}]"
-    return _format_scalar(obj)
+            write("[]")
+            return
+        if set(map(type, seq)) == {float}:
+            write(f"[\n{_float_block(seq, inner)}")
+        else:
+            sep = "[\n"
+            for v in seq:
+                write(f"{sep}{inner}")
+                _write_json(v, write, indent + 1)
+                sep = ",\n"
+        write(f"\n{pad}]")
+    else:
+        write(_format_scalar(obj))
+
+
+def canonical_json(obj) -> str:
+    parts = []
+    _write_json(obj, parts.append)
+    return "".join(parts)
 
 
 def base_report(command: str, inputs: dict) -> dict:
@@ -66,6 +94,10 @@ def base_report(command: str, inputs: dict) -> dict:
     }
 
 
+# exactly the scalar types _format_scalar renders
+_SCALARS = (type(None), bool, np.bool_, int, np.integer, float, np.floating, str)
+
+
 def _flatten_scalars(obj, prefix: str = "", out=None) -> dict:
     if out is None:
         out = {}
@@ -73,7 +105,7 @@ def _flatten_scalars(obj, prefix: str = "", out=None) -> dict:
         for key in sorted(obj):
             path = f"{prefix}.{key}" if prefix else str(key)
             _flatten_scalars(obj[key], path, out)
-    elif isinstance(obj, (str, int, float, bool)) or obj is None:
+    elif isinstance(obj, _SCALARS):
         out[prefix] = obj
     # lists and matrices are dropped from the CSV view
     return out
@@ -82,25 +114,17 @@ def _flatten_scalars(obj, prefix: str = "", out=None) -> dict:
 def to_csv(report: dict) -> str:
     flat = _flatten_scalars(report)
     keys = sorted(flat)
-    buf = io.StringIO()
-    buf.write(",".join(json.dumps(k) for k in keys) + "\n")
-    cells = [
-        json.dumps(flat[k]) if isinstance(flat[k], str) else _format_scalar(flat[k])
-        for k in keys
-    ]
-    buf.write(",".join(cells) + "\n")
-    return buf.getvalue()
+    header = ",".join(json.dumps(k) for k in keys)
+    return header + "\n" + ",".join(_format_scalar(flat[k]) for k in keys) + "\n"
 
 
-def emit_report(report: dict, path: str | None, fmt: str = "json") -> str:
-    """Render the report; write it to ``path`` when given. Returns the text."""
-    if fmt == "json":
-        text = canonical_json(report) + "\n"
-    elif fmt == "csv":
-        text = to_csv(report)
-    else:
+def emit_report(report: dict, path: str | None, fmt: str = "json") -> None:
+    """Write the report piece by piece to ``path``, or to stdout without one."""
+    if fmt not in ("json", "csv"):
         raise ValueError(f"unknown format {fmt!r}")
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text
+    with open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout) as fh:
+        if fmt == "csv":
+            fh.write(to_csv(report))
+        else:
+            _write_json(report, fh.write)
+            fh.write("\n")

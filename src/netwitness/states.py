@@ -106,45 +106,42 @@ def find_choi_detected_ppt(grid_resolution: int = 40, rng_seed: int = 0) -> Scan
 
     States are parametrized by the weight a on P_00 and uniform row weights
     b, c = 1 - a - b on the s = 1 and s = 2 Bell rows; the witness value is
-    (b - a)/3 in this slice. A simplex grid at the given resolution is
-    followed by local step-halving refinement. The search itself certifies
-    the result: min eigenvalue of the partial transpose >= -1e-12 and
-    tr[W rho] <= -1e-4, or an explicit not-found outcome.
+    (b - a)/3 in this slice. A simplex grid at the given resolution, scanned
+    one row of fixed a at a time as stacked arrays, is followed by local
+    step-halving refinement. The search itself certifies the result: min
+    eigenvalue of the partial transpose >= -1e-12 and tr[W rho] <= -1e-4, or
+    an explicit not-found outcome. The search is deterministic; ``rng_seed``
+    is only echoed in the result.
     """
     if grid_resolution < 2:
         raise ValueError("resolution must be >= 2")
     wmat = choi_witness().mat.data
     projs, pts = _bell_basis_and_pt(3)
 
-    def build(a: float, b: float):
+    def evaluate(a: np.ndarray, b: np.ndarray):
+        """Weights, states, witness values and min partial-transpose
+        eigenvalues at the slice points (a[k], b[k])."""
         c = 1.0 - a - b
-        p = np.array([[a, 0, 0], [b / 3, b / 3, b / 3], [c / 3, c / 3, c / 3]])
-        m = sum(p.reshape(-1)[i] * projs[i] for i in range(9))
-        pt = sum(p.reshape(-1)[i] * pts[i] for i in range(9))
-        return p, m, pt
-
-    def evaluate(a: float, b: float):
-        if a < 0 or b < 0 or a + b > 1:
-            return None
-        p, m, pt = build(a, b)
-        wval = float(np.real(np.trace(wmat @ m)))
-        min_eig = float(np.linalg.eigvalsh((pt + pt.conj().T) / 2)[0])
-        return p, m, wval, min_eig
-
-    def feasible(wval, min_eig):
-        return min_eig >= PPT_EIG_FLOOR and wval <= WITNESS_CUTOFF
+        zero = np.zeros_like(a)
+        w = np.stack([a, zero, zero, b / 3, b / 3, b / 3, c / 3, c / 3, c / 3], axis=1)
+        m = sum(w[:, i, None, None] * projs[i] for i in range(9))
+        pt = sum(w[:, i, None, None] * pts[i] for i in range(9))
+        wval = np.real(np.trace(wmat @ m, axis1=1, axis2=2))
+        min_eig = np.linalg.eigvalsh((pt + pt.conj().transpose(0, 2, 1)) / 2)[:, 0]
+        feasible = (min_eig >= PPT_EIG_FLOOR) & (wval <= WITNESS_CUTOFF)
+        return w.reshape(-1, 3, 3), m, wval, min_eig, feasible
 
     best = None  # (wval, a, b, payload)
     step = 1.0 / grid_resolution
     for i in range(grid_resolution + 1):
-        for j in range(grid_resolution + 1 - i):
-            a, b = i * step, j * step
-            res = evaluate(a, b)
-            if res is None:
-                continue
-            p, m, wval, min_eig = res
-            if feasible(wval, min_eig) and (best is None or wval < best[0]):
-                best = (wval, a, b, (p, m, min_eig))
+        a = i * step
+        b = np.arange(grid_resolution + 1 - i) * step
+        b = b[a + b <= 1]
+        p, m, wval, min_eig, feasible = evaluate(np.full(b.size, a), b)
+        # the first feasible point of the row with the least witness value
+        k = int(np.argmin(np.where(feasible, wval, np.inf)))
+        if feasible[k] and (best is None or wval[k] < best[0]):
+            best = (float(wval[k]), a, float(b[k]), (p[k], m[k], float(min_eig[k])))
     # step-halving pattern refinement around the incumbent
     if best is not None:
         wval, a, b, payload = best
@@ -152,12 +149,12 @@ def find_choi_detected_ppt(grid_resolution: int = 40, rng_seed: int = 0) -> Scan
         for _ in range(12):
             improved = False
             for da, db in ((h, 0), (-h, 0), (0, h), (0, -h), (h, -h), (-h, h)):
-                res = evaluate(a + da, b + db)
-                if res is None:
+                ca, cb = a + da, b + db
+                if ca < 0 or cb < 0 or ca + cb > 1:
                     continue
-                p, m, cand_wval, min_eig = res
-                if feasible(cand_wval, min_eig) and cand_wval < wval:
-                    wval, a, b, payload = cand_wval, a + da, b + db, (p, m, min_eig)
+                p, m, cand, min_eig, feasible = evaluate(np.array([ca]), np.array([cb]))
+                if feasible[0] and cand[0] < wval:
+                    wval, a, b, payload = float(cand[0]), ca, cb, (p[0], m[0], float(min_eig[0]))
                     improved = True
             if not improved:
                 h /= 2

@@ -8,6 +8,7 @@ all transposes are taken in the computational basis.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +32,10 @@ class Mat:
 
     def __post_init__(self):
         data = np.array(self.data, dtype=complex)
-        dims = tuple(int(d) for d in self.dims)
+        try:
+            dims = tuple(operator.index(d) for d in self.dims)
+        except TypeError:
+            raise ValueError(f"dims must be integers, not {self.dims!r}") from None
         if not dims:
             raise ValueError("dims must be non-empty")
         if min(dims) < 2:
@@ -79,7 +83,7 @@ class Mat:
         if missing:
             raise ValueError(f"matrix JSON is missing key(s): {', '.join(missing)}")
         try:
-            dims = tuple(int(d) for d in obj["dims"])
+            dims = tuple(operator.index(d) for d in obj["dims"])
             flat = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
         except TypeError as exc:
             raise ValueError(f"matrix JSON has a value of the wrong type: {exc}") from None

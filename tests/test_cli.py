@@ -73,6 +73,14 @@ class TestProtocolRun:
         assert err.value.code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("dims", [[2.9, 2.2], ["2", "2"]], ids=["float", "str"])
+    def test_non_integer_dims_in_state_file_is_usage_error(self, capsys, tmp_path, dims):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({**Mat(np.eye(4) / 4, (2, 2)).to_dict(), "dims": dims}))
+        err = usage_error(["protocol", "run", "--family", "two-qubit",
+                           "--state-file", str(path)], capsys)
+        assert err.startswith("error: ") and "integer" in err
+
     def test_state_and_state_file_together_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "state.json"
         path.write_text(json.dumps(Mat(np.eye(4) / 4, (2, 2)).to_dict()))

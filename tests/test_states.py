@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,13 +8,16 @@ from netwitness import bell
 from netwitness.networks import choi_network
 from netwitness.protocol import detect_exact, singlet_fraction
 from netwitness.states import (
+    PPT_EIG_FLOOR,
+    WITNESS_CUTOFF,
+    ScanResult,
     bell_diagonal_state,
     find_choi_detected_ppt,
     isotropic_state,
     random_separable,
     random_state,
 )
-from netwitness.tensor import partial_transpose
+from netwitness.tensor import density, partial_transpose
 from netwitness.witnesses import choi_witness, reduction_witness
 
 
@@ -143,3 +148,78 @@ class TestChoiScan:
         assert a.found == b.found
         if a.found:
             assert np.array_equal(a.p, b.p)
+
+
+def _loop_scan(grid_resolution: int, rng_seed: int = 0) -> ScanResult:
+    """The scan as one Python iteration per grid point, the reference the
+    row-batched ``find_choi_detected_ppt`` must reproduce bit for bit."""
+    wmat = choi_witness().mat.data
+    projs = [bell.bell_projector(3, s, t) for s in range(3) for t in range(3)]
+    pts = [partial_transpose(pm, {1}).data for pm in projs]
+    projs = [pm.data for pm in projs]
+
+    def evaluate(a, b):
+        if a < 0 or b < 0 or a + b > 1:
+            return None
+        c = 1.0 - a - b
+        p = np.array([[a, 0, 0], [b / 3, b / 3, b / 3], [c / 3, c / 3, c / 3]])
+        m = sum(p.reshape(-1)[i] * projs[i] for i in range(9))
+        pt = sum(p.reshape(-1)[i] * pts[i] for i in range(9))
+        wval = float(np.real(np.trace(wmat @ m)))
+        min_eig = float(np.linalg.eigvalsh((pt + pt.conj().T) / 2)[0])
+        return p, m, wval, min_eig
+
+    def feasible(wval, min_eig):
+        return min_eig >= PPT_EIG_FLOOR and wval <= WITNESS_CUTOFF
+
+    best = None
+    step = 1.0 / grid_resolution
+    for i in range(grid_resolution + 1):
+        for j in range(grid_resolution + 1 - i):
+            a, b = i * step, j * step
+            res = evaluate(a, b)
+            if res is None:
+                continue
+            p, m, wval, min_eig = res
+            if feasible(wval, min_eig) and (best is None or wval < best[0]):
+                best = (wval, a, b, (p, m, min_eig))
+    if best is None:
+        return ScanResult(False, None, None, None, None, grid_resolution, rng_seed)
+    wval, a, b, payload = best
+    h = step
+    for _ in range(12):
+        improved = False
+        for da, db in ((h, 0), (-h, 0), (0, h), (0, -h), (h, -h), (-h, h)):
+            res = evaluate(a + da, b + db)
+            if res is None:
+                continue
+            p, m, cand_wval, min_eig = res
+            if feasible(cand_wval, min_eig) and cand_wval < wval:
+                wval, a, b, payload = cand_wval, a + da, b + db, (p, m, min_eig)
+                improved = True
+        if not improved:
+            h /= 2
+    p, m, min_eig = payload
+    return ScanResult(True, density(m, (3, 3)), p, wval, min_eig, grid_resolution, rng_seed)
+
+
+class TestChoiScanMatchesLoop:
+    @pytest.mark.parametrize("resolution", [2, 3, 7, 10, 40, 80])
+    def test_bit_identical_to_point_loop(self, resolution):
+        fast, ref = find_choi_detected_ppt(resolution, rng_seed=5), _loop_scan(resolution, 5)
+        assert fast.to_dict() == ref.to_dict()
+        assert fast.found == (resolution >= 7)
+        if ref.found:
+            assert fast.rho.data.tobytes() == ref.rho.data.tobytes()
+            assert fast.p.tobytes() == ref.p.tobytes()
+            assert (fast.witness_value, fast.min_pt_eig) == (ref.witness_value, ref.min_pt_eig)
+
+    def test_memory_stays_one_row(self):
+        tracemalloc.start()
+        try:
+            find_choi_detected_ppt(80)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one row is at most 81 9x9 complex matrices; the whole grid would need ~20 MB
+        assert peak < 2e6

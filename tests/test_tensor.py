@@ -100,6 +100,20 @@ class TestMat:
         with pytest.raises(ValueError, match="list|wrong type"):
             Mat.from_dict(obj)
 
+    @pytest.mark.parametrize("dims", [[2.9, 2.2], ["2", "2"], [2.0, 2.0]])
+    def test_from_dict_rejects_non_integer_dims(self, dims):
+        obj = {"dims": dims, "re": np.eye(4).reshape(-1).tolist(), "im": [0.0] * 16}
+        with pytest.raises(ValueError, match="integer"):
+            Mat.from_dict(obj)
+
+    @pytest.mark.parametrize("dims", [(2.9, 2.2), ("2", "2"), (2.0, 2)])
+    def test_rejects_non_integer_dims(self, dims):
+        with pytest.raises(ValueError, match="integers"):
+            Mat(np.eye(4), dims)
+
+    def test_accepts_numpy_integer_dims(self):
+        assert Mat(np.eye(4), (np.int64(2), np.int32(2))).dims == (2, 2)
+
 
 class TestKron:
     def test_identity_case(self):
