@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import networks, protocol
-from .tensor import DensityOperator, Mat, density
+from . import protocol
+from .tensor import DensityOperator, Mat, mixture
 from .witnesses import Witness
 
 _X = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -151,10 +151,10 @@ def graph_witness(g: GraphSpec, labels) -> Witness:
     return Witness(Mat(m, (2,) * g.n), "graph", 0.5)
 
 
-def _uniform_pairing(kets) -> np.ndarray:
+def _uniform_pairing(kets, dims) -> DensityOperator:
     """(1/|S|) sum over the kets |v> of |v><v| (x) |v><v| across layers 2 and 3."""
     projectors = [np.outer(v, v.conj()) for v in kets]
-    return networks.product_mixture((1 / len(projectors), p, p) for p in projectors)
+    return mixture(((1 / len(projectors), p, p) for p in projectors), dims)
 
 
 def graph_network(g: GraphSpec, labels) -> DensityOperator:
@@ -163,7 +163,7 @@ def graph_network(g: GraphSpec, labels) -> DensityOperator:
     if not labels:
         raise ValueError("label set must be non-empty")
     kets = [graph_basis_state(g, bits) for bits in labels]
-    return density(_uniform_pairing(kets), (2,) * (2 * g.n))
+    return _uniform_pairing(kets, (2,) * (2 * g.n))
 
 
 def graph_measurement_circuit(g: GraphSpec, sigma: DensityOperator) -> float:
@@ -215,7 +215,7 @@ def ghz_witness() -> Witness:
 def ghz_network() -> DensityOperator:
     """Uniform pairing of the eight GHZ-family projectors across two layers."""
     kets = [ghz_ket(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
-    return density(_uniform_pairing(kets), (2,) * 6)
+    return _uniform_pairing(kets, (2,) * 6)
 
 
 def multi_overlap_raw(rho: DensityOperator, net: DensityOperator, target) -> float:

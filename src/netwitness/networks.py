@@ -1,8 +1,8 @@
 """Network states on sites (A2,B2,A3,B3) and the witness reconstruction map.
 
-A network state N is a four-factor state, separable across A2B2:A3B3 by
-construction (every family below is an explicit convex sum of products
-across that cut), such that contracting the A3B3 pair against
+A network state N is a four-factor state, separable across A2B2:A3B3 as
+certified per term (``tensor.mixture`` builds every family below as a convex
+sum of products across that cut), such that contracting the A3B3 pair against
 (eta*1 - P_00) returns a positive multiple of the transposed witness:
 
     tr_3[N (eta*1 - P_00)_3] = recon_constant * W^T.
@@ -21,6 +21,7 @@ from .tensor import (
     Mat,
     density,
     hermitian_eigen,
+    mixture,
     partial_transpose,
 )
 from .witnesses import Witness, check_lambda_vec, two_qubit_pt_witness
@@ -75,14 +76,6 @@ def _hermitize(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().T) / 2
 
 
-def product_mixture(terms) -> np.ndarray:
-    """sum_j c_j A_j (x) B_j over (c_j, A_j, B_j) terms, added in the given order.
-
-    Every network family below is such a sum of products across A2B2:A3B3.
-    """
-    return sum(c * np.kron(a, b) for c, a, b in terms)
-
-
 def two_qubit_network() -> NetworkState:
     """Mixture of |psi-><psi-| (x) |phi+><phi+| with its orthogonal complement.
 
@@ -92,12 +85,11 @@ def two_qubit_network() -> NetworkState:
     psi_minus = bell.bell_projector(2, 1, 1).data
     phi_plus = bell.bell_projector(2, 0, 0).data
     eye4 = np.eye(4)
-    n = product_mixture([
-        (0.25, psi_minus, phi_plus),
-        (1 / 12, eye4 - psi_minus, eye4 - phi_plus),
-    ])
     return NetworkState(
-        state=density(n, (2, 2, 2, 2)),
+        state=mixture([
+            (0.25, psi_minus, phi_plus),
+            (1 / 12, eye4 - psi_minus, eye4 - phi_plus),
+        ], (2, 2, 2, 2)),
         eta=0.5,
         recon_constant=0.25,
         family="two-qubit",
@@ -130,9 +122,8 @@ def decomposable_network(q: DensityOperator, lam: float | None = None,
     first = _hermitize((lam * eye - wqt) / (lam * d * d - 1))
     second = _hermitize((lam * eye + wqt) / (lam * d * d + 1))
     p00 = bell.bell_projector(d, 0, 0).data
-    n = product_mixture([(c1, first, p00), (c2, second, (eye - p00) / (d * d - 1))])
     return NetworkState(
-        state=density(n, (d, d, d, d)),
+        state=mixture([(c1, first, p00), (c2, second, (eye - p00) / (d * d - 1))], (d,) * 4),
         eta=1.0 / d,
         recon_constant=2 * (d - 1) / (d * denom),
         family=family,
@@ -163,9 +154,8 @@ def pbd_network(lam, d: int | None = None, family: str = "pbd") -> NetworkState:
         wmat = wmat + lam[s] * bell.bell_row_projector(d, s).data
     pairs = ((lam[s] / d, bell.bell_projector(d, s, t).data)
              for s in range(d) if lam[s] != 0.0 for t in range(d))
-    n = product_mixture((c, p, p) for c, p in pairs)
     return NetworkState(
-        state=density(n, (d, d, d, d)),
+        state=mixture(((c, p, p) for c, p in pairs), (d,) * 4),
         eta=lam[0],
         recon_constant=lam[0] / d,
         family=family,
@@ -206,15 +196,14 @@ def bh_network(d: int) -> NetworkState:
     p00 = bell.bell_projector(d, 0, 0).data
     eye = np.eye(d * d)
     projectors = (bell.bell_projector(d, s, t).data for s in range(d) for t in range(d))
-    paired = product_mixture((1 / (d * d), p, p) for p in projectors)
-    n = (
-        float(c0) * paired
-        + float(c1) * np.kron((eye + fp) / (d * d + d), p00)
-        + float(c2) * np.kron((eye - fp) / (d * d - d), (eye - p00) / (d * d - 1))
-    )
+    paired = mixture(((1 / (d * d), p, p) for p in projectors), (d,) * 4)
     wmat = eye / d - p00 - fp / d
     return NetworkState(
-        state=density(n, (d, d, d, d)),
+        state=mixture([
+            (float(c0), paired),
+            (float(c1), (eye + fp) / (d * d + d), p00),
+            (float(c2), (eye - fp) / (d * d - d), (eye - p00) / (d * d - 1)),
+        ], (d,) * 4),
         eta=1.0 / d,
         recon_constant=float(c0) / d**2,
         family="breuer-hall",
@@ -279,10 +268,8 @@ def network_from_decomposition(w: Witness, eta: float, pi_choices=None,
                                family: str = "custom") -> NetworkState:
     """Assemble the solved decomposition into a network state."""
     terms, c, k = solve_decomposition(w, eta, pi_choices)
-    d = w.d
-    n = product_mixture((cj, term.w.data, term.pi.data) for cj, term in zip(c, terms))
     return NetworkState(
-        state=density(n, (d, d, d, d)),
+        state=mixture(((cj, t.w.data, t.pi.data) for cj, t in zip(c, terms)), w.mat.dims * 2),
         eta=eta,
         recon_constant=1.0 / k,
         family=family,

@@ -19,6 +19,14 @@ STRUCTURAL_TOL = 1e-10
 EIGEN_INPUT_TOL = 1e-8
 
 
+def _indices(values, what) -> tuple:
+    """Integer tuple of ``values``; a float such as 2.9 is rejected, not truncated."""
+    try:
+        return tuple(operator.index(v) for v in values)
+    except TypeError:
+        raise ValueError(f"{what} must be integers, not {values!r}") from None
+
+
 @dataclass(frozen=True, eq=False)
 class Mat:
     """Square complex matrix on a tensor product of factors.
@@ -32,10 +40,7 @@ class Mat:
 
     def __post_init__(self):
         data = np.array(self.data, dtype=complex)
-        try:
-            dims = tuple(operator.index(d) for d in self.dims)
-        except TypeError:
-            raise ValueError(f"dims must be integers, not {self.dims!r}") from None
+        dims = _indices(self.dims, "dims")
         if not dims:
             raise ValueError("dims must be non-empty")
         if min(dims) < 2:
@@ -98,15 +103,8 @@ class DensityOperator:
     mat: Mat
 
     def __post_init__(self):
-        m = self.mat
-        # every comparison against NaN is False, so the checks below would pass
-        if not np.isfinite(m.data).all():
-            raise ValueError("density operator has a non-finite entry")
-        if m.hermiticity_defect() > STRUCTURAL_TOL:
-            raise ValueError("density operator is not Hermitian within 1e-10")
-        if abs(m.trace() - 1.0) > STRUCTURAL_TOL:
-            raise ValueError("density operator trace deviates from 1 beyond 1e-10")
-        if float(np.linalg.eigvalsh(m.data)[0]) < -STRUCTURAL_TOL:
+        _check_structure(self.mat)
+        if float(np.linalg.eigvalsh(self.mat.data)[0]) < -STRUCTURAL_TOL:
             raise ValueError("density operator has an eigenvalue below -1e-10")
 
     @property
@@ -118,12 +116,72 @@ class DensityOperator:
         return self.mat.dims
 
 
+def _check_structure(m: Mat) -> None:
+    """The O(n^2) density-operator checks: finite, Hermitian, unit trace."""
+    # every comparison against NaN is False, so the checks below would pass
+    if not np.isfinite(m.data).all():
+        raise ValueError("density operator has a non-finite entry")
+    if m.hermiticity_defect() > STRUCTURAL_TOL:
+        raise ValueError("density operator is not Hermitian within 1e-10")
+    if abs(m.trace() - 1.0) > STRUCTURAL_TOL:
+        raise ValueError("density operator trace deviates from 1 beyond 1e-10")
+
+
 def density(data, dims) -> DensityOperator:
     return DensityOperator(Mat(data, dims))
 
 
+def mixture(terms, dims) -> DensityOperator:
+    """The state N = sum_j c_j A_j (x) B_j, certified per term with no dense eigensolve.
+
+    A term is (c, A, B) with square arrays A, B, or (c, rho) with a
+    DensityOperator rho on ``dims``. Terms are added in the given order onto
+    zeros, so N has the bits of ``sum(c * np.kron(A, B) for ...)``. Every c
+    must be finite and >= 0, every distinct factor Hermitian within
+    STRUCTURAL_TOL with smallest eigenvalue >= -STRUCTURAL_TOL (one stacked
+    eigvalsh per factor shape); factors need no unit trace. Then, up to
+    rounding, lambda_min(N) >= -STRUCTURAL_TOL * sum_j c_j max(|A_j|, |B_j|)
+    (spectral norms; c times rho's own bound for a (c, rho) term), and N is
+    that close to a state separable across the A:B cut. N also passes the
+    finite, Hermitian and unit-trace checks of DensityOperator.
+    """
+    dims = _indices(dims, "dims")
+    side = int(np.prod(dims))
+    acc = np.zeros((side, side), dtype=complex)
+    scaled = np.empty_like(acc)  # c * (A (x) B) of the current term; one buffer for all
+    factors = {}
+    n_terms = 0
+    for n_terms, (c, *factor) in enumerate(terms, 1):
+        if not (np.isfinite(c) and c >= 0):
+            raise ValueError(f"mixture weight {c!r} is not finite and >= 0")
+        if len(factor) == 1:
+            if not isinstance(factor[0], DensityOperator):
+                raise ValueError("a (c, rho) mixture term needs a DensityOperator rho")
+            acc += np.multiply(factor[0].data, c, out=scaled)
+            continue
+        a, b = (np.asarray(f) for f in factor)
+        factors.update({id(a): a, id(b): b})
+        grid = scaled.reshape(len(a), len(b), len(a), len(b))  # a view: np.kron's entries
+        np.multiply(a[:, None, :, None], b[None, :, None, :], out=grid)
+        acc += np.multiply(scaled, c, out=scaled)
+    if not n_terms:
+        raise ValueError("mixture needs at least one term")
+    for shape in {f.shape for f in factors.values()}:
+        stack = np.stack([f for f in factors.values() if f.shape == shape])
+        # a NaN defect fails the comparison, so a non-finite factor is rejected here
+        if not np.max(np.abs(stack - stack.conj().swapaxes(1, 2))) <= STRUCTURAL_TOL:
+            raise ValueError("mixture factor is not finite and Hermitian within 1e-10")
+        if np.linalg.eigvalsh(stack)[:, 0].min() < -STRUCTURAL_TOL:
+            raise ValueError("mixture factor has an eigenvalue below -1e-10")
+    mat = Mat(acc, dims)
+    _check_structure(mat)
+    state = object.__new__(DensityOperator)  # certified above: skip the dense eigvalsh
+    object.__setattr__(state, "mat", mat)
+    return state
+
+
 def identity(dims) -> Mat:
-    dims = tuple(int(d) for d in dims)
+    dims = _indices(dims, "dims")
     return Mat(np.eye(int(np.prod(dims))), dims)
 
 
@@ -140,7 +198,7 @@ def kron(a: Mat, b: Mat) -> Mat:
 
 def partial_trace(m: Mat, keep) -> Mat:
     """Trace out every factor not listed in ``keep`` (order preserved)."""
-    keep = sorted({int(i) for i in keep})
+    keep = sorted(set(_indices(keep, "keep indices")))
     n = len(m.dims)
     if not keep:
         raise ValueError("must keep at least one factor")
@@ -159,7 +217,7 @@ def partial_trace(m: Mat, keep) -> Mat:
 
 def partial_transpose(m: Mat, subset) -> Mat:
     """Transpose the chosen factors' indices only (computational basis)."""
-    subset = {int(i) for i in subset}
+    subset = set(_indices(subset, "subset"))
     n = len(m.dims)
     if any(i < 0 or i >= n for i in subset):
         raise ValueError(f"subset {sorted(subset)} out of range for {n} factors")
@@ -183,8 +241,8 @@ def embed(op: Mat, targets, full_dims) -> Mat:
     The result is a pure entry permutation of op (x) identity; no arithmetic
     is performed beyond multiplying by exact zeros and ones.
     """
-    targets = [int(i) for i in targets]
-    full_dims = tuple(int(d) for d in full_dims)
+    targets = list(_indices(targets, "targets"))
+    full_dims = _indices(full_dims, "dims")
     n = len(full_dims)
     if len(set(targets)) != len(targets):
         raise ValueError("target factors must be distinct")

@@ -270,8 +270,8 @@ class TestGraphMeasurementCircuit:
 
 
 # --- reference copies of the per-family pairing loops and of the separate
-# n-party detect routine that networks.product_mixture and
-# protocol.detect_target replaced ---
+# n-party detect routine that tensor.mixture and protocol.detect_target
+# replaced; the old dense PSD check now serves as an oracle ---
 
 
 def old_ghz_network_matrix():
@@ -334,6 +334,8 @@ class TestAgainstOldCode:
             expect = np.asarray(expect, dtype=complex)
             assert got.shape == expect.shape
             assert got.tobytes() == expect.tobytes()
+            assert np.linalg.eigvalsh(expect)[0] >= -1e-10
+            assert abs(np.trace(expect) - 1.0) <= 1e-10
 
     @pytest.mark.parametrize("family", ["ghz", "cl4"])
     def test_detect_reports_equal(self, family):

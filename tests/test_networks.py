@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from netwitness import bell
+from netwitness import bell, graphs
 from netwitness.networks import (
     NetworkState,
     bh_network,
@@ -20,7 +20,16 @@ from netwitness.networks import (
     two_qubit_network,
 )
 from netwitness.states import random_state
-from netwitness.tensor import Mat, density, kron, partial_trace, partial_transpose, proj
+from netwitness.tensor import (
+    DensityOperator,
+    Mat,
+    density,
+    kron,
+    mixture,
+    partial_trace,
+    partial_transpose,
+    proj,
+)
 from netwitness.witnesses import (
     breuer_hall_witness,
     choi_witness,
@@ -274,8 +283,9 @@ def test_recon_constant_must_be_positive():
 
 
 # --- reference copies of the per-family accumulation loops and of the dense
-# reconstruction that networks.product_mixture and the one-einsum
-# reconstruct_witness replaced; reports pin the builders' exact bits ---
+# reconstruction that tensor.mixture and the one-einsum reconstruct_witness
+# replaced; reports pin the builders' exact bits, and the dense PSD check that
+# the per-term certificate replaced serves as an oracle ---
 
 
 def old_two_qubit_matrix():
@@ -385,7 +395,10 @@ FAMILIES = [
 
 @pytest.mark.parametrize("name,build,old", FAMILIES, ids=[f[0] for f in FAMILIES])
 def test_product_mixture_matches_old_loop_bit_for_bit(name, build, old):
-    assert_same_bits(build().state.data, old())
+    expect = old()
+    assert_same_bits(build().state.data, expect)
+    assert np.linalg.eigvalsh(expect)[0] >= -1e-10
+    assert abs(np.trace(expect) - 1.0) <= 1e-10
 
 
 @pytest.mark.parametrize("name,build,old", [f for f in FAMILIES if f[0] != "bh6"],
@@ -419,3 +432,92 @@ def test_pbd3_reported_reconstruction_error_unchanged():
 def test_reconstruction_rejects_non_four_factor_input():
     with pytest.raises(ValueError, match="four-factor"):
         reconstruct_witness(Mat(np.eye(4) / 4, (2, 2)), 0.5)
+
+
+class TestMixtureCertificate:
+    """tensor.mixture proves positivity per term; each broken term is refused."""
+
+    P = bell.bell_projector(2, 0, 0).data
+
+    def test_accepts_valid_terms_and_nested_state(self):
+        inner = mixture([(0.5, self.P, self.P), (0.5, np.eye(4) / 4, np.eye(4) / 4)], (2,) * 4)
+        outer = mixture([(0.25, inner), (0.75, self.P, np.eye(4) / 4)], (2,) * 4)
+        expect = 0 + 0.25 * inner.data + 0.75 * np.kron(self.P, np.eye(4) / 4)
+        assert isinstance(outer, DensityOperator)
+        assert_same_bits(outer.data, expect)
+
+    def test_rejects_negative_weight(self):
+        with pytest.raises(ValueError, match="weight"):
+            mixture([(1.25, self.P, self.P), (-0.25, self.P, np.eye(4) / 4)], (2,) * 4)
+
+    @pytest.mark.parametrize("c", [np.nan, np.inf])
+    def test_rejects_non_finite_weight(self, c):
+        with pytest.raises(ValueError, match="weight"):
+            mixture([(c, self.P, self.P)], (2,) * 4)
+
+    def test_rejects_non_hermitian_factor(self):
+        a = np.eye(4) / 4
+        a[0, 1] = 0.01
+        with pytest.raises(ValueError, match="Hermitian"):
+            mixture([(1.0, a, self.P)], (2,) * 4)
+
+    def test_rejects_non_finite_factor(self):
+        a = np.eye(4) / 4
+        a[1, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            mixture([(0.0, a, self.P), (1.0, self.P, self.P)], (2,) * 4)
+
+    def test_rejects_factor_with_negative_eigenvalue(self):
+        a = np.diag([1 + 1e-8, -1e-8, 0.0, 0.0])
+        with pytest.raises(ValueError, match="eigenvalue below"):
+            mixture([(1.0, a, self.P)], (2,) * 4)
+
+    def test_rejects_empty_term_list(self):
+        with pytest.raises(ValueError, match="at least one term"):
+            mixture([], (2,) * 4)
+
+    @pytest.mark.parametrize("rho", [np.eye(16) / 16, Mat(np.eye(16) / 16, (2,) * 4)])
+    def test_rejects_nested_term_that_is_not_a_density_operator(self, rho):
+        with pytest.raises(ValueError, match="DensityOperator"):
+            mixture([(1.0, rho)], (2,) * 4)
+
+    def test_still_checks_the_trace_of_the_sum(self):
+        with pytest.raises(ValueError, match="trace"):
+            mixture([(0.5, self.P, self.P)], (2,) * 4)
+
+    def test_decomposable_lambda_below_spectral_radius(self):
+        radius = float(np.max(np.abs(
+            np.linalg.eigvalsh(partial_transpose(Q3.mat, {1}).data))))
+        assert radius * 9 > 1 / 0.9
+        with pytest.raises(ValueError, match="eigenvalue below"):
+            decomposable_network(Q3, lam=0.9 * radius)
+
+    def test_decomposition_with_non_psd_readout(self):
+        w = two_qubit_pt_witness()
+        p00 = bell.bell_projector(2, 0, 0)
+        bad = (np.eye(4) - p00.data) / 3 + 0.5 * np.diag([0.0, 1.0, -1.0, 0.0])
+        solve_decomposition(w, 0.5, [p00, Mat(bad, (2, 2))])  # the sign conditions hold
+        with pytest.raises(ValueError, match="eigenvalue below"):
+            network_from_decomposition(w, 0.5, [p00, Mat(bad, (2, 2))])
+
+
+def test_builds_decompose_no_matrix_larger_than_a_factor(monkeypatch):
+    sides = []
+    for name in ("eigvalsh", "eigh"):
+        real = getattr(np.linalg, name)
+
+        def spy(a, *args, _real=real, **kwargs):
+            sides.append(np.shape(a)[-1])
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    cl4 = graphs.cl4_graph()
+    for build, factor_side in [
+        (lambda: bh_network(4), 16),
+        (lambda: pbd_network((0.4, 0.3, 0.2, 0.1)), 16),
+        (lambda: graphs.graph_network(cl4, graphs.CL4_LABELS), 16),
+    ]:
+        sides.clear()
+        build()
+        assert sides, "the per-term certificate made no eigensolve"
+        assert max(sides) <= factor_side

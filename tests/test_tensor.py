@@ -316,3 +316,37 @@ class TestDensityOperator:
         m[1, 1] = bad
         with pytest.raises(ValueError, match="non-finite"):
             density(m, (2, 2))
+
+
+class TestNonIntegerArguments:
+    """Factor indices and dims go through operator.index: a float is an error,
+    never truncated to the factor it rounds down to."""
+
+    @pytest.mark.parametrize("dims", [[2.9], [2, 2.0], ["2"]])
+    def test_identity(self, dims):
+        with pytest.raises(ValueError, match="integers"):
+            identity(dims)
+
+    @pytest.mark.parametrize("subset", [[1.7], [0, 1.0]])
+    def test_partial_transpose(self, subset):
+        with pytest.raises(ValueError, match="integers"):
+            partial_transpose(random_mat((2, 2), 0), subset)
+
+    @pytest.mark.parametrize("keep", [[0.9], [1.0]])
+    def test_partial_trace(self, keep):
+        with pytest.raises(ValueError, match="integers"):
+            partial_trace(random_mat((2, 2), 0), keep)
+
+    @pytest.mark.parametrize("targets,full_dims", [([0.5], [2, 2]), ([0], [2, 2.7]),
+                                                   ([0.5], [2, 2.7])])
+    def test_embed(self, targets, full_dims):
+        with pytest.raises(ValueError, match="integers"):
+            embed(Mat(X, (2,)), targets, full_dims)
+
+    def test_numpy_integers_still_accepted(self):
+        m = random_mat((2, 3), 1)
+        assert identity((np.int64(2),)).dims == (2,)
+        assert partial_trace(m, [np.int32(1)]).dims == (3,)
+        assert np.array_equal(partial_transpose(m, {np.int64(0)}).data,
+                              partial_transpose(m, {0}).data)
+        assert embed(Mat(X, (2,)), [np.int64(1)], (np.int64(3), 2)).dims == (3, 2)
