@@ -6,6 +6,8 @@ protocol (exactly and with finite shots), and locate bound entangled states
 at desk scale.
 """
 
+__version__ = "0.1.0"
+
 from .tensor import (
     DensityOperator,
     Mat,
@@ -61,5 +63,3 @@ from .states import (
     random_separable,
     random_state,
 )
-
-__version__ = "0.1.0"

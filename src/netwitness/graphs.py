@@ -1,5 +1,8 @@
-"""Graph-state formalism: stabilizer generators, graph bases, circuits, and
-the n-party extension of the detection protocol (GHZ and cluster witnesses).
+"""Graph states and the n-party extension of the detection protocol.
+
+A graph basis ket is built from the graph-state circuit (|+>^n, then a
+controlled-Z on every edge) with Z flips at the labelled vertices; GHZ and
+cluster witnesses pair these kets uniformly across the network layers.
 
 Qubits are vertices 1..n; the joint protocol space is grouped by layer,
 (layer 1 vertices, layer 2 vertices, layer 3 vertices), and the Bell
@@ -14,11 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import protocol
-from .tensor import DensityOperator, Mat, mixture
+from .tensor import DensityOperator, Mat, _indices, mixture
 from .witnesses import Witness
-
-_X = np.array([[0.0, 1.0], [1.0, 0.0]])
-_Z = np.array([[1.0, 0.0], [0.0, -1.0]])
 
 
 @dataclass(frozen=True)
@@ -29,33 +29,19 @@ class GraphSpec:
     edges: tuple
 
     def __post_init__(self):
-        edges = tuple(tuple(int(v) for v in e) for e in self.edges)
+        (n,) = _indices((self.n,), "n")
+        edges = tuple(_indices(e, "edge vertices") for e in self.edges)
         seen = set()
         for i, j in edges:
-            if not (1 <= i < j <= self.n):
-                raise ValueError(f"edge ({i},{j}) invalid for n={self.n}")
+            if not (1 <= i < j <= n):
+                raise ValueError(f"edge ({i},{j}) invalid for n={n}")
             if (i, j) in seen:
                 raise ValueError(f"duplicate edge ({i},{j})")
             seen.add((i, j))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", edges)
-        if self.n < 1:
+        if n < 1:
             raise ValueError("graph needs at least one vertex")
-
-    def neighbors(self, i: int) -> tuple:
-        out = []
-        for a, b in self.edges:
-            if a == i:
-                out.append(b)
-            elif b == i:
-                out.append(a)
-        return tuple(sorted(out))
-
-    def to_dict(self) -> dict:
-        return {"n": self.n, "edges": [list(e) for e in self.edges]}
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "GraphSpec":
-        return cls(int(obj["n"]), tuple(tuple(e) for e in obj["edges"]))
 
 
 def cl4_graph() -> GraphSpec:
@@ -78,23 +64,6 @@ def _parse_label(x, n: int) -> tuple:
     if len(bits) != n or any(b not in (0, 1) for b in bits):
         raise ValueError(f"label {x!r} is not a length-{n} bit string")
     return bits
-
-
-def _single_site(op: np.ndarray, i: int, n: int) -> np.ndarray:
-    m = np.array([[1.0]])
-    for j in range(1, n + 1):
-        m = np.kron(m, op if j == i else np.eye(2))
-    return m
-
-
-def generator(g: GraphSpec, i: int) -> Mat:
-    """Stabilizer generator: X at vertex i, Z at each neighbor."""
-    if not (1 <= i <= g.n):
-        raise ValueError(f"vertex {i} out of range 1..{g.n}")
-    m = _single_site(_X, i, g.n)
-    for j in g.neighbors(i):
-        m = m @ _single_site(_Z, j, g.n)
-    return Mat(m, (2,) * g.n)
 
 
 def graph_state_circuit(g: GraphSpec) -> np.ndarray:
@@ -123,16 +92,6 @@ def graph_basis_state(g: GraphSpec, x) -> np.ndarray:
             sl[i] = 1
             t[tuple(sl)] *= -1.0
     return t.reshape(-1)
-
-
-def graph_basis_projector(g: GraphSpec, x) -> Mat:
-    """Product of (1 + (-1)^{x_i} g_i)/2 over all vertices (oracle form)."""
-    bits = _parse_label(x, g.n)
-    m = np.eye(2**g.n, dtype=complex)
-    for i, b in enumerate(bits, start=1):
-        gi = generator(g, i).data
-        m = m @ (np.eye(2**g.n) + (-1) ** b * gi) / 2
-    return Mat(m, (2,) * g.n)
 
 
 def graph_witness(g: GraphSpec, labels) -> Witness:
@@ -164,29 +123,6 @@ def graph_network(g: GraphSpec, labels) -> DensityOperator:
         raise ValueError("label set must be non-empty")
     kets = [graph_basis_state(g, bits) for bits in labels]
     return _uniform_pairing(kets, (2,) * (2 * g.n))
-
-
-def graph_measurement_circuit(g: GraphSpec, sigma: DensityOperator) -> float:
-    """All-zeros outcome probability after undoing the graph circuit.
-
-    Applies Hadamards on every vertex after the edge controlled-Z gates; the
-    returned probability equals the overlap with the all-zeros graph basis
-    state.
-    """
-    if len(sigma.dims) != g.n:
-        raise ValueError(f"state must live on {g.n} qubits")
-    dim = 2**g.n
-    cz_diag = np.ones(dim)
-    for idx in range(dim):
-        bits = [(idx >> (g.n - 1 - q)) & 1 for q in range(g.n)]
-        flips = sum(bits[i - 1] & bits[j - 1] for i, j in g.edges)
-        if flips % 2:
-            cz_diag[idx] = -1.0
-    h_all = np.array([[1.0]])
-    for _ in range(g.n):
-        h_all = np.kron(h_all, np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2))
-    u = h_all @ np.diag(cz_diag)
-    return float(np.real((u @ sigma.data @ u.conj().T)[0, 0]))
 
 
 def ghz_ket(a: int = 0, b: int = 0, c: int = 0) -> np.ndarray:

@@ -137,15 +137,13 @@ def flip_network(d: int) -> NetworkState:
     return decomposable_network(q, lam=1.0 / d, family="flip")
 
 
-def pbd_network(lam, d: int | None = None, family: str = "pbd") -> NetworkState:
+def pbd_network(lam, family: str = "pbd") -> NetworkState:
     """Paired Bell-diagonal state: sum_s lambda_s/d sum_t P_st (x) P_st.
 
     Threshold lambda_0; reconstruction constant lambda_0/d against the
     Bell-diagonal witness with the same lambda.
     """
     lam = check_lambda_vec(lam)
-    if d is not None and d != len(lam):
-        raise ValueError("d must equal len(lambda)")
     d = len(lam)
     if lam[0] == 0.0:
         raise ValueError("threshold eta would be 0; witness not realizable this way")

@@ -27,6 +27,7 @@ from .witnesses import Witness
 MIN_SUCCESS_PROB = 1e-14
 VERDICT_BAND = 1e-9  # |fraction - eta| window where sign cross-checks are skipped
 WILSON_Z = 1.959963984540054  # two-sided 95%
+MAX_SHOTS = int(np.iinfo(np.int64).max)  # numpy's multinomial counts are int64
 
 
 class ConsistencyError(RuntimeError):
@@ -139,13 +140,13 @@ def singlet_fraction(sigma: DensityOperator) -> float:
     return float(np.real(overlap(bell.bell_ket(d, 0, 0), sigma.mat)))
 
 
-def bell_overlap_raw(rho: DensityOperator, n: NetworkState, target=None) -> float:
-    """<target|K|target> with K the unscaled teleport contraction.
+def bell_overlap_raw(rho: DensityOperator, n: NetworkState) -> float:
+    """<phi_00|K|phi_00> with K the unscaled teleport contraction.
 
-    With the default target |phi_00> this is the closed-form Bell-outcome
-    probability; for the two-qubit family it equals 1/8 - tr[rho W]/4.
+    This is the closed-form Bell-outcome probability; for the two-qubit
+    family it equals 1/8 - tr[rho W]/4.
     """
-    return target_overlap(rho, n.state, bell.bell_ket(n.d, 0, 0) if target is None else target)
+    return target_overlap(rho, n.state, bell.bell_ket(n.d, 0, 0))
 
 
 def target_overlap(rho: DensityOperator, net: DensityOperator, target) -> float:
@@ -258,10 +259,11 @@ def detect_target(rho: DensityOperator, net: DensityOperator, wmat: Mat, eta: fl
     return report, k, trk
 
 
-def wilson_interval(successes: int, trials: int, z: float = WILSON_Z):
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int):
+    """95% Wilson score interval for a binomial proportion."""
     if trials == 0:
         raise ValueError("no trials")
+    z = WILSON_Z
     phat = successes / trials
     denom = 1 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -279,8 +281,8 @@ def detect_shots(rho: DensityOperator, n: NetworkState, w=None, shots: int = 100
     state. The estimate is the frequency of (0,0) readouts among
     post-selected shots, with a 95% Wilson interval. Deterministic per seed.
     """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ValueError(f"shots must lie in [1, {MAX_SHOTS}], not {shots}")
     exact, k, trk = _detect(rho, n, w, provenance)
     rng = np.random.default_rng(rng_seed)
     p = bell_outcome_distribution(rho, n).reshape(-1)

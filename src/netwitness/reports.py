@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-VERSION = "0.1.0"
+from . import __version__ as VERSION
 
 TOLERANCES = {
     "structural": 1e-10,

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bell
-from .tensor import DensityOperator, density, partial_transpose
+from .tensor import DensityOperator, _indices, density, partial_transpose
 from .witnesses import choi_witness
 
 PPT_EIG_FLOOR = -1e-12
@@ -46,7 +46,7 @@ def random_ket(dim: int, rng) -> np.ndarray:
 
 def random_state(dims, rng_seed: int, rank: int | None = None) -> DensityOperator:
     """Full-rank (by default) random mixed state from a Ginibre matrix."""
-    dims = tuple(int(d) for d in dims)
+    dims = _indices(dims, "dims")
     dim = int(np.prod(dims))
     rng = np.random.default_rng(rng_seed)
     rank = dim if rank is None else rank

@@ -59,12 +59,6 @@ class Mat:
     def trace(self) -> complex:
         return complex(np.trace(self.data))
 
-    def dagger(self) -> "Mat":
-        return Mat(self.data.conj().T, self.dims)
-
-    def transpose(self) -> "Mat":
-        return Mat(self.data.T, self.dims)
-
     def hermiticity_defect(self) -> float:
         return float(np.max(np.abs(self.data - self.data.conj().T)))
 

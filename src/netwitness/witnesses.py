@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,8 +12,8 @@ from .tensor import DensityOperator, Mat, partial_transpose
 
 # A witness must dip below zero somewhere to detect anything.
 NEGATIVITY_TOL = 1e-12
-# Numerical floor accepted for min over product states (witness property).
-SEP_FLOOR_TOL = 1e-6
+# A seesaw restart stops once its value moves by less than this.
+SEESAW_STOP_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,6 +59,9 @@ class Witness:
 
 def check_lambda_vec(lam) -> tuple:
     lam = tuple(float(x) for x in lam)
+    # every comparison against NaN is False, so the checks below would pass
+    if not all(math.isfinite(x) for x in lam):
+        raise ValueError(f"lambda entries must be finite, got {lam}")
     if any(x < 0 for x in lam):
         raise ValueError("lambda entries must be non-negative")
     if abs(sum(lam) - 1.0) > 1e-9:
@@ -170,14 +174,12 @@ def cyclic_inequality_check(lam, trials: int = 10000, rng_seed: int = 0) -> Cycl
     )
 
 
-def sep_floor_estimate(
-    w, restarts: int = 64, iters: int = 200, rng_seed: int = 0, tol: float = 1e-10
-) -> float:
+def sep_floor_estimate(w, restarts: int = 64, iters: int = 200, rng_seed: int = 0) -> float:
     """Seesaw minimum of <a,b|W|a,b> over unit product vectors.
 
     Alternately eigensolves the d x d operators obtained by conditioning W on
     one side's current vector, for all restarts at once; a restart stops once
-    its value moves by less than ``tol``. Returns the lowest value over
+    its value moves by less than SEESAW_STOP_TOL. Returns the lowest value over
     restarts; deterministic for a given seed. Values below -1e-6 flag a
     non-witness.
     """
@@ -206,7 +208,7 @@ def sep_floor_estimate(
         ma = np.einsum("ikjl,ri,rj->rkl", t, a.conj(), a)
         vals, vecs = np.linalg.eigh((ma + ma.conj().transpose(0, 2, 1)) / 2)
         b, val = vecs[:, :, 0], vals[:, 0]
-        done = np.abs(prev - val) < tol
+        done = np.abs(prev - val) < SEESAW_STOP_TOL
         best = np.min(val[done], initial=best)
         b, prev = b[~done], val[~done]
         if not prev.size:

@@ -101,6 +101,11 @@ class TestProtocolShots:
                   "--state", "psi-minus", "--shots", "0"])
         assert err.value.code == 2
 
+    def test_shots_beyond_int64_usage_error(self, capsys):
+        err = usage_error(["protocol", "shots", "--family", "two-qubit",
+                           "--state", "psi-minus", "--shots", str(2**63)], capsys)
+        assert "error: shots must lie in" in err
+
     def test_seed_echo_and_determinism(self, capsys):
         args = ["protocol", "shots", "--family", "choi", "--state", "maximally-mixed",
                 "--shots", "2000", "--seed", "11"]

@@ -8,21 +8,18 @@ from netwitness.graphs import (
     CL4_LABELS,
     GraphSpec,
     cl4_graph,
-    generator,
     ghz_detect_exact,
     ghz_ket,
     ghz_network,
     ghz_witness,
-    graph_basis_projector,
     graph_basis_state,
-    graph_measurement_circuit,
     graph_network,
     graph_state_circuit,
     graph_witness,
     multi_overlap_raw,
 )
 from netwitness.states import random_state
-from netwitness.tensor import density
+from netwitness.tensor import Mat, density
 from netwitness.witnesses import Witness
 
 X = np.array([[0, 1], [1, 0]])
@@ -35,6 +32,70 @@ def dm(ket, dims):
     return density(np.outer(ket, np.conj(ket)), dims)
 
 
+# --- oracles: the stabilizer-generator, projector-product and dense-circuit
+# forms of the graph basis, which graph_basis_state must agree with ---
+
+
+def neighbors(g: GraphSpec, i: int) -> tuple:
+    out = []
+    for a, b in g.edges:
+        if a == i:
+            out.append(b)
+        elif b == i:
+            out.append(a)
+    return tuple(sorted(out))
+
+
+def single_site(op, i: int, n: int) -> np.ndarray:
+    m = np.array([[1.0]])
+    for j in range(1, n + 1):
+        m = np.kron(m, op if j == i else np.eye(2))
+    return m
+
+
+def generator(g: GraphSpec, i: int) -> Mat:
+    """Stabilizer generator: X at vertex i, Z at each neighbor."""
+    if not (1 <= i <= g.n):
+        raise ValueError(f"vertex {i} out of range 1..{g.n}")
+    m = single_site(X, i, g.n)
+    for j in neighbors(g, i):
+        m = m @ single_site(Z, j, g.n)
+    return Mat(m, (2,) * g.n)
+
+
+def graph_basis_projector(g: GraphSpec, x) -> Mat:
+    """Product of (1 + (-1)^{x_i} g_i)/2 over all vertices."""
+    bits = graphs._parse_label(x, g.n)
+    m = np.eye(2**g.n, dtype=complex)
+    for i, b in enumerate(bits, start=1):
+        gi = generator(g, i).data
+        m = m @ (np.eye(2**g.n) + (-1) ** b * gi) / 2
+    return Mat(m, (2,) * g.n)
+
+
+def graph_measurement_circuit(g: GraphSpec, sigma) -> float:
+    """All-zeros outcome probability after undoing the graph circuit.
+
+    Applies Hadamards on every vertex after the edge controlled-Z gates, as
+    dense 2^n x 2^n matrices; the probability equals the overlap with the
+    all-zeros graph basis state.
+    """
+    if len(sigma.dims) != g.n:
+        raise ValueError(f"state must live on {g.n} qubits")
+    dim = 2**g.n
+    cz_diag = np.ones(dim)
+    for idx in range(dim):
+        bits = [(idx >> (g.n - 1 - q)) & 1 for q in range(g.n)]
+        flips = sum(bits[i - 1] & bits[j - 1] for i, j in g.edges)
+        if flips % 2:
+            cz_diag[idx] = -1.0
+    h_all = np.array([[1.0]])
+    for _ in range(g.n):
+        h_all = np.kron(h_all, np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2))
+    u = h_all @ np.diag(cz_diag)
+    return float(np.real((u @ sigma.data @ u.conj().T)[0, 0]))
+
+
 class TestGraphSpec:
     def test_rejects_bad_edges(self):
         with pytest.raises(ValueError):
@@ -44,14 +105,21 @@ class TestGraphSpec:
         with pytest.raises(ValueError):
             GraphSpec(3, ((1, 2), (1, 2)))
 
+    @pytest.mark.parametrize("n, edges", [(3, ((1.7, 2),)), (3, ((1, 2.0),)), (2.5, ()),
+                                          ("3", ())])
+    def test_rejects_non_integer_vertices(self, n, edges):
+        with pytest.raises(ValueError, match="must be integers"):
+            GraphSpec(n, edges)
+
+    def test_numpy_integers_accepted(self):
+        g = GraphSpec(np.int64(3), ((np.int64(1), 2),))
+        assert g == GraphSpec(3, ((1, 2),))
+        assert type(g.n) is int and type(g.edges[0][0]) is int
+
     def test_neighbors(self):
         g = cl4_graph()
-        assert g.neighbors(2) == (1, 3)
-        assert g.neighbors(4) == (3,)
-
-    def test_round_trip(self):
-        g = cl4_graph()
-        assert GraphSpec.from_dict(g.to_dict()) == g
+        assert neighbors(g, 2) == (1, 3)
+        assert neighbors(g, 4) == (3,)
 
 
 class TestGenerators:

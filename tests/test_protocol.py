@@ -323,6 +323,13 @@ class TestDetectShots:
         with pytest.raises(ValueError):
             detect_shots(MIXED2, two_qubit_network(), shots=0, rng_seed=0)
 
+    def test_shot_count_beyond_int64_rejected(self):
+        limit = int(np.iinfo(np.int64).max)
+        rep = detect_shots(MIXED2, two_qubit_network(), shots=limit, rng_seed=0)
+        assert rep.shots.n_total == limit
+        with pytest.raises(ValueError, match="shots must lie in"):
+            detect_shots(MIXED2, two_qubit_network(), shots=limit + 1, rng_seed=0)
+
     def test_estimator_unbiased_over_seeds(self):
         net = choi_network()
         rho = isotropic_state(3, 0.8)

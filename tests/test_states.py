@@ -92,6 +92,11 @@ class TestRandomStates:
         b = random_state((2, 2), rng_seed=4)
         assert np.array_equal(a.data, b.data)
 
+    @pytest.mark.parametrize("dims", [(2.9, 2), (2, "3")])
+    def test_non_integer_dims_rejected(self, dims):
+        with pytest.raises(ValueError, match="dims must be integers"):
+            random_state(dims, rng_seed=0)
+
 
 class TestRandomSeparable:
     def test_single_term_is_pure_product(self):

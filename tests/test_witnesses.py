@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from netwitness import bell
+from netwitness.networks import pbd_network
 from netwitness.states import random_separable, random_state
 from netwitness.tensor import Mat, density, partial_transpose
 from netwitness.witnesses import (
@@ -103,6 +104,12 @@ class TestBellDiagonalWitness:
             bell_diagonal_witness((0.5, 0.2))
         with pytest.raises(ValueError, match="non-negative"):
             bell_diagonal_witness((1.2, -0.2))
+
+    @pytest.mark.parametrize("lam", [(float("nan"), 0.5, 0.5), (0.5, float("inf"), 0.5)])
+    def test_non_finite_lambda_rejected(self, lam):
+        for build in (bell_diagonal_witness, cyclic_inequality_check, pbd_network):
+            with pytest.raises(ValueError, match="must be finite"):
+                build(lam)
 
 
 class TestCyclicInequality:
