@@ -57,10 +57,7 @@ CL4_LABELS = (
 
 
 def _parse_label(x, n: int) -> tuple:
-    if isinstance(x, str):
-        bits = tuple(int(c) for c in x)
-    else:
-        bits = tuple(int(b) for b in x)
+    bits = tuple(int(c) for c in x) if isinstance(x, str) else _indices(x, "label bits")
     if len(bits) != n or any(b not in (0, 1) for b in bits):
         raise ValueError(f"label {x!r} is not a length-{n} bit string")
     return bits

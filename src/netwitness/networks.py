@@ -294,13 +294,65 @@ def reconstruct_witness(n, eta: float | None = None) -> Mat:
     return Mat(_hermitize(out), mat.dims[:2])
 
 
+# Side up to which ppt_report takes each partial transpose whole, as one
+# dense block (the d = 2 states).
+DENSE_EIGVALSH_MAX_SIDE = 16
+
+
+def _blocks(side: int, rows: np.ndarray, cols: np.ndarray) -> list:
+    """Connected components of ``side`` nodes joined by symmetric edges (rows, cols).
+
+    Returns one (blocks, size) array of member indices per distinct block
+    size. The components come from min-label propagation with pointer
+    jumping: a label only falls and stays a node of its own component, so at
+    the fixed point every component carries one label of its own.
+    """
+    labels = np.arange(side)
+    while True:
+        step = labels.copy()
+        np.minimum.at(step, rows, labels[cols])
+        step = step[step]
+        if np.array_equal(step, labels):
+            break
+        labels = step
+    _, sizes = np.unique(labels, return_counts=True)
+    members = np.argsort(labels, kind="stable")
+    starts = np.cumsum(sizes) - sizes
+    return [members[starts[sizes == size][:, None] + np.arange(size)]
+            for size in np.unique(sizes)]
+
+
 def ppt_report(state) -> dict:
-    """Min eigenvalue of the partial transpose across all 7 bipartitions."""
+    """Min eigenvalue of the partial transpose across all 7 bipartitions.
+
+    Each Hermitized partial transpose is split into blocks that no nonzero
+    entry couples. Only exact zeros separate them, so the matrix is exactly
+    block-diagonal up to a permutation of the basis and its spectrum is the
+    union of the blocks' spectra: the split is exact, not an approximation.
+    The blocks are small because the network states' diagonal Weyl-phase
+    symmetries survive partial transposition (at most 16 of 256 at d = 4,
+    108 of 1296 at d = 6). The partial transpose only permutes entries, so
+    the blocks are found from the state's own nonzero entries and gathered
+    from it; no full partial transpose is formed.
+
+    Sides up to ``DENSE_EIGVALSH_MAX_SIDE`` are taken whole: there the search
+    costs more than it saves (all seven cuts of a d = 2 state take about
+    0.4 ms whole against about 1 ms blocked on a 2-core Xeon with 1 BLAS
+    thread), and one dense ``eigvalsh`` keeps the round-off digits of the
+    pinned d = 2 reports.
+    """
     mat = state.state.mat if isinstance(state, NetworkState) else (
         state.mat if isinstance(state, DensityOperator) else state
     )
     if len(mat.dims) != 4:
         raise ValueError("expected a four-factor state")
+    side = mat.side
+    # the Hermitian part of a partial transpose is, entry for entry and bit for
+    # bit, the partial transpose of the Hermitian part
+    herm = _hermitize(mat.data)
+    rows, cols = np.nonzero(herm)
+    digits = np.indices(mat.dims).reshape(4, side)
+    place = side // np.cumprod(mat.dims)
     report = {}
     # the 7 bipartitions = proper subsets containing site A2 (complements repeat spectra)
     for bits in range(7):
@@ -309,6 +361,19 @@ def ppt_report(state) -> dict:
         label = "".join(SITE_NAMES[i] for i in subset) + ":" + "".join(
             SITE_NAMES[i] for i in rest
         )
-        pt = partial_transpose(mat, subset)
-        report[label] = float(np.linalg.eigvalsh(_hermitize(pt.data))[0])
+        # s[i] is index i's part on the transposed sites; the partial transpose
+        # swaps that part between row and column, so that
+        # pt[i, j] = herm[i - s[i] + s[j], j - s[j] + s[i]]
+        s = place[subset] @ digits[subset]
+        if side <= DENSE_EIGVALSH_MAX_SIDE:
+            stacks = [np.arange(side)[None]]
+        else:
+            stacks = _blocks(side, rows - s[rows] + s[cols], cols - s[cols] + s[rows])
+        lowest = np.inf
+        for idx in stacks:  # one stacked eigvalsh per block size
+            i = idx[:, :, None]
+            j = i.transpose(0, 2, 1)
+            pt = herm[i - s[i] + s[j], j - s[j] + s[i]]
+            lowest = min(lowest, np.linalg.eigvalsh(pt)[:, 0].min())
+        report[label] = float(lowest)
     return report

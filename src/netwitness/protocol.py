@@ -21,7 +21,7 @@ import numpy as np
 
 from . import bell
 from .networks import NetworkState
-from .tensor import DensityOperator, Mat, density, overlap
+from .tensor import DensityOperator, Mat, _indices, density, overlap
 from .witnesses import Witness
 
 MIN_SUCCESS_PROB = 1e-14
@@ -281,6 +281,7 @@ def detect_shots(rho: DensityOperator, n: NetworkState, w=None, shots: int = 100
     state. The estimate is the frequency of (0,0) readouts among
     post-selected shots, with a 95% Wilson interval. Deterministic per seed.
     """
+    (shots,) = _indices((shots,), "shots")
     if not 1 <= shots <= MAX_SHOTS:
         raise ValueError(f"shots must lie in [1, {MAX_SHOTS}], not {shots}")
     exact, k, trk = _detect(rho, n, w, provenance)

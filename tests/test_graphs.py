@@ -255,6 +255,13 @@ class TestGraphWitnessAndNetwork:
             graph_witness(g, [])
         with pytest.raises(ValueError, match="all-zeros"):
             graph_witness(g, ["0001"])
+        # a float bit is rejected, not truncated to 0 or 1
+        with pytest.raises(ValueError, match="must be integers"):
+            graph_witness(g, [(0.5, 0, 0, 0)])
+        with pytest.raises(ValueError, match="must be integers"):
+            graph_basis_state(g, (0.9, 0, 0, 1.2))
+        assert np.array_equal(graph_basis_state(g, (0, 0, 0, np.int64(1))),
+                              graph_basis_state(g, "0001"))
 
     def test_network_valid(self):
         g = cl4_graph()

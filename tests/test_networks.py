@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from netwitness import bell, graphs
+from netwitness import bell, cli, graphs
 from netwitness.networks import (
+    SITE_NAMES,
     NetworkState,
     bh_network,
     choi_network,
@@ -265,6 +266,75 @@ class TestPptReport:
         v /= np.linalg.norm(v)
         rep = ppt_report(proj(v, (2, 2, 2, 2)))
         assert all(val >= -1e-10 for val in rep.values())
+
+
+def dense_min_eigenvalue(mat: Mat, cut: str) -> float:
+    """The partial transpose's dense spectrum, transposing the cut's left sites."""
+    left = cut.split(":")[0]
+    subset = [SITE_NAMES.index(left[i:i + 2]) for i in range(0, len(left), 2)]
+    pt = partial_transpose(mat, subset).data
+    return float(np.linalg.eigvalsh((pt + pt.conj().T) / 2)[0])
+
+
+def ppt_oracle_cases():
+    lams = {2: (0.7, 0.3), 3: (2 / 3, 1 / 3, 0.0), 4: (0.4, 0.3, 0.2, 0.1)}
+    for name, row in cli.FAMILIES.items():
+        for d in (2, 3, 4):
+            try:
+                net = cli.build_network(name, d, lams[d] if row.d is None else None)
+            except ValueError:  # the row has no network at this d
+                continue
+            yield pytest.param(net, id=f"{name}-d{d}")
+
+
+@pytest.mark.parametrize("net", list(ppt_oracle_cases()))
+def test_blocked_ppt_report_matches_dense_eigvalsh(net):
+    rep = ppt_report(net)
+    assert len(rep) == 7
+    for cut, value in rep.items():
+        assert abs(value - dense_min_eigenvalue(net.state.mat, cut)) <= 1e-14, cut
+
+
+def spy_eigvalsh_sides(monkeypatch) -> list:
+    sides = []
+    real = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        sides.append(np.shape(a)[-1])
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    return sides
+
+
+def test_tiny_coupling_is_not_dropped(monkeypatch):
+    # d = 3: a random Hermitian matrix restricted to entries between indices of
+    # equal digit-sum parity; every partial transpose keeps that parity, so
+    # each cut has two blocks, of 41 and 40
+    rng = np.random.default_rng(3)
+    parity = np.indices((3,) * 4).reshape(4, -1).sum(axis=0) % 2
+    g = rng.standard_normal((81, 81)) + 1j * rng.standard_normal((81, 81))
+    h = np.where(parity[:, None] == parity[None, :], g + g.conj().T, 0)
+    sides = spy_eigvalsh_sides(monkeypatch)
+    ppt_report(Mat(h, (3,) * 4))
+    assert sorted(sides) == [40] * 7 + [41] * 7
+    # one coupling entry (and its mirror) across the parities joins them in every cut
+    i, j = 0, 1
+    assert parity[i] != parity[j]
+    h[i, j] = h[j, i] = 1e-300
+    sides.clear()
+    rep = ppt_report(Mat(h, (3,) * 4))
+    assert sides == [81] * 7
+    for cut, value in rep.items():
+        assert abs(value - dense_min_eigenvalue(Mat(h, (3,) * 4), cut)) <= 1e-14, cut
+
+
+def test_ppt_report_decomposes_no_block_larger_than_a_factor(monkeypatch):
+    net = bh_network(4)
+    sides = spy_eigvalsh_sides(monkeypatch)
+    ppt_report(net)
+    assert sides, "ppt_report made no eigensolve"
+    assert max(sides) <= 16
 
 
 def test_smolin_permutation_invariance():

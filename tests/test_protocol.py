@@ -323,6 +323,14 @@ class TestDetectShots:
         with pytest.raises(ValueError):
             detect_shots(MIXED2, two_qubit_network(), shots=0, rng_seed=0)
 
+    def test_non_integer_shot_count_rejected(self):
+        with pytest.raises(ValueError, match="shots must be integers"):
+            detect_shots(MIXED2, two_qubit_network(), shots=2.5, rng_seed=0)
+        rep = detect_shots(MIXED2, two_qubit_network(), shots=np.int64(5), rng_seed=0)
+        assert rep.shots.n_total == 5
+        assert rep.to_dict() == detect_shots(MIXED2, two_qubit_network(), shots=5,
+                                             rng_seed=0).to_dict()
+
     def test_shot_count_beyond_int64_rejected(self):
         limit = int(np.iinfo(np.int64).max)
         rep = detect_shots(MIXED2, two_qubit_network(), shots=limit, rng_seed=0)
