@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import protocol
-from .tensor import DensityOperator, Mat, _indices, mixture
+from .tensor import DensityOperator, Mat, _indices, _read_only, mixture
 from .witnesses import Witness
 
 
@@ -161,11 +161,6 @@ def detect_multi_exact(rho: DensityOperator, net: DensityOperator, w: Witness,
     """Exact n-party protocol run: vertex-wise Bell pairs, then target readout
     against the threshold ``w.eta``."""
     return protocol.detect_target(rho, net, w.mat, w.eta, target, provenance)[0]
-
-
-def _read_only(ket: np.ndarray) -> np.ndarray:
-    ket.setflags(write=False)
-    return ket
 
 
 # The protocol objects are immutable (Mat data and the target are read-only),

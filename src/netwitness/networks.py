@@ -17,6 +17,7 @@ import numpy as np
 
 from . import bell
 from .tensor import (
+    EIGEN_INPUT_TOL,
     DensityOperator,
     Mat,
     density,
@@ -339,11 +340,14 @@ def ppt_report(state) -> dict:
     costs more than it saves (all seven cuts of a d = 2 state take about
     0.4 ms whole against about 1 ms blocked on a 2-core Xeon with 1 BLAS
     thread), and one dense ``eigvalsh`` keeps the round-off digits of the
-    pinned d = 2 reports.
+    pinned d = 2 reports. A bare ``Mat`` is rejected, not hermitized, when
+    its hermiticity defect exceeds ``EIGEN_INPUT_TOL``.
     """
     mat = state.state.mat if isinstance(state, NetworkState) else (
         state.mat if isinstance(state, DensityOperator) else state
     )
+    if mat is state and mat.hermiticity_defect() > EIGEN_INPUT_TOL:
+        raise ValueError(f"matrix is not Hermitian within {EIGEN_INPUT_TOL:g}")
     if len(mat.dims) != 4:
         raise ValueError("expected a four-factor state")
     side = mat.side

@@ -15,13 +15,14 @@ operator is never materialized.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import bell
 from .networks import NetworkState
-from .tensor import DensityOperator, Mat, _indices, density, overlap
+from .tensor import DensityOperator, Mat, _indices, _read_only, density, overlap
 from .witnesses import Witness
 
 MIN_SUCCESS_PROB = 1e-14
@@ -183,24 +184,36 @@ def measurement_circuit_probs(sigma: DensityOperator) -> np.ndarray:
     return probs.reshape(d, d)
 
 
+@functools.cache
+def _weyl_tables(d: int):
+    """Read-only shift[x, i] = i + x per site mod d, and phase = kron(F, F)
+    with F[a, b] = omega^{ab}."""
+    site = np.arange(d)
+    wrap = (site[:, None] + site) % d  # wrap[s, i] = i + s mod d
+    shift = (wrap[:, None, :, None] * d + wrap[None, :, None, :]).reshape(d * d, d * d)
+    f = np.exp(2j * np.pi * (np.outer(site, site) % d) / d)
+    return _read_only(shift), _read_only(np.kron(f, f))
+
+
 def bell_outcome_distribution(rho: DensityOperator, n: NetworkState) -> np.ndarray:
     """Joint Bell-measurement distribution p[s,t,u,v] over both site pairs.
 
     (s,t) labels the outcome on (A1,A2) and (u,v) on (B1,B2); the (0,0),(0,0)
-    entry is the protocol's post-selection probability.
+    entry is the protocol's post-selection probability. An outcome conjugates
+    layer 2 by W = W_st (x) W_uv = sum_i omega^{z.i} |i+x><i|, x = (s,u), z = (t,v),
+    so with n2 = tr_3 N, D = d^2 and j = i+e, D p = Re tr[rho^T W^dag n2 W] =
+    Re sum_{i,e} rho[i, i+e] n2[i+x, i+x+e] omega^{z.e}: a cyclic correlation of
+    shifted diagonals, then one two-site Fourier transform, in O(d^6) work.
     """
     d = n.d
     d2 = d * d
-    # conditioning on a Bell outcome conjugates layer 2 by Weyl unitaries,
-    # so only tr_3 of the network enters each outcome weight
+    shift, phase = _weyl_tables(d)
     n2 = np.trace(n.state.data.reshape(d2, d2, d2, d2), axis1=1, axis2=3)
-    site = np.array([bell.weyl(d, s, t) for s in range(d) for t in range(d)])
-    # stack of W_st (x) W_uv; a broadcast product forms each entry exactly as
-    # np.kron does, so every outcome weight keeps its per-outcome bits
-    w = (site[:, None, :, None, :, None] * site[None, :, None, :, None, :]).reshape(d2 * d2, d2, d2)
-    p = np.real(np.trace(rho.data.T @ w.conj().transpose(0, 2, 1) @ n2 @ w,
-                         axis1=1, axis2=2)) / d2
-    return p.reshape(d, d, d, d)
+    rows = np.arange(d2)
+    diag = n2[rows, shift]  # diag[e, k] = n2[k, k+e]
+    c = np.einsum("exi,ei->xe", diag[:, shift], rho.data[rows, shift])
+    p = np.real(c @ phase) / d2  # p[(s,u), (t,v)]
+    return p.reshape(d, d, d, d).transpose(0, 2, 1, 3)
 
 
 def _verdict(fraction: float, eta: float) -> str:
@@ -260,7 +273,8 @@ def detect_target(rho: DensityOperator, net: DensityOperator, wmat: Mat, eta: fl
 
 
 def wilson_interval(successes: int, trials: int):
-    """95% Wilson score interval for a binomial proportion."""
+    """95% Wilson score interval for a binomial proportion. The lower end at
+    0 successes and the upper end at ``trials`` are exactly 0 and 1."""
     if trials == 0:
         raise ValueError("no trials")
     z = WILSON_Z
@@ -268,7 +282,9 @@ def wilson_interval(successes: int, trials: int):
     denom = 1 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
     half = z * np.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials)) / denom
-    return center - half, center + half
+    lo = 0.0 if successes == 0 else center - half
+    hi = 1.0 if successes == trials else center + half
+    return lo, hi
 
 
 def detect_shots(rho: DensityOperator, n: NetworkState, w=None, shots: int = 10000,
@@ -279,7 +295,9 @@ def detect_shots(rho: DensityOperator, n: NetworkState, w=None, shots: int = 100
     distribution; shots post-selected on the double (0,0) outcome draw a
     computational readout from the measurement-circuit table of the filtered
     state. The estimate is the frequency of (0,0) readouts among
-    post-selected shots, with a 95% Wilson interval. Deterministic per seed.
+    post-selected shots, with a 95% Wilson interval. A fixed seed reproduces
+    the sample only from a bit-identical distribution: numpy's multinomial
+    draws binomials that branch at p = 1/2, so one ulp can move every count.
     """
     (shots,) = _indices((shots,), "shots")
     if not 1 <= shots <= MAX_SHOTS:

@@ -27,6 +27,11 @@ def _indices(values, what) -> tuple:
         raise ValueError(f"{what} must be integers, not {values!r}") from None
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True, eq=False)
 class Mat:
     """Square complex matrix on a tensor product of factors.

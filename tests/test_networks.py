@@ -329,6 +329,15 @@ def test_tiny_coupling_is_not_dropped(monkeypatch):
         assert abs(value - dense_min_eigenvalue(Mat(h, (3,) * 4), cut)) <= 1e-14, cut
 
 
+def test_non_hermitian_bare_mat_rejected():
+    m = np.zeros((16, 16), dtype=complex)
+    m[0, 1] = 1.0
+    with pytest.raises(ValueError, match="not Hermitian"):
+        ppt_report(Mat(m, (2, 2, 2, 2)))
+    m[1, 0] = 1.0  # now Hermitian: taken as given
+    assert len(ppt_report(Mat(m, (2, 2, 2, 2)))) == 7
+
+
 def test_ppt_report_decomposes_no_block_larger_than_a_factor(monkeypatch):
     net = bh_network(4)
     sides = spy_eigvalsh_sides(monkeypatch)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from netwitness.networks import (
     two_qubit_network,
 )
 from netwitness.protocol import (
+    _weyl_tables,
     bell_outcome_distribution,
     bell_overlap_raw,
     detect_exact,
@@ -241,8 +244,11 @@ DISTRIBUTION_NETWORKS = [
     (lambda: reduction_network(3), 3),
     (lambda: pbd_network((0.4, 0.3, 0.2, 0.1)), 4),
     (lambda: bh_network(4), 4),
+    (lambda: flip_network(5), 5),
+    (lambda: bh_network(6), 6),
 ]
-DISTRIBUTION_IDS = ["two-qubit", "smolin", "choi", "flip3", "reduction3", "pbd4", "bh4"]
+DISTRIBUTION_IDS = ["two-qubit", "smolin", "choi", "flip3", "reduction3", "pbd4", "bh4",
+                    "flip5", "bh6"]
 
 
 class TestBellOutcomeDistribution:
@@ -263,6 +269,32 @@ class TestBellOutcomeDistribution:
             rho = random_state((3, 3), rng_seed=seed)
             p = bell_outcome_distribution(rho, net)
             assert np.max(np.abs(p - joint_space_bell_distribution(rho, net))) <= 1e-12
+
+    def test_peak_memory_bh6(self):
+        net = bh_network(6)
+        rho = random_state((6, 6), rng_seed=1)
+        tracemalloc.start()
+        try:
+            bell_outcome_distribution(rho, net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_weyl_tables_cached_read_only_and_match_weyl(self, d):
+        shift, phase = _weyl_tables(d)
+        again = _weyl_tables(d)
+        assert again[0] is shift and again[1] is phase
+        assert not shift.flags.writeable and not phase.flags.writeable
+        # W_st (x) W_uv has one nonzero per column i: row shift[(s,u), i],
+        # value phase[(t,v), i]
+        cols = np.arange(d * d)
+        for s, t, u, v in np.ndindex(d, d, d, d):
+            w = np.kron(bell.weyl(d, s, t), bell.weyl(d, u, v))
+            assert np.count_nonzero(w) == d * d
+            assert np.allclose(w[shift[s * d + u], cols], phase[t * d + v],
+                               atol=1e-15)
 
     def test_normalization_and_success_entry(self):
         for net, rho in ((two_qubit_network(), PSI_MINUS),
@@ -357,6 +389,12 @@ class TestWilson:
         lo, hi = wilson_interval(30, 100)
         assert lo < 0.3 < hi
         assert 0.0 <= lo and hi <= 1.0
+
+    def test_extreme_counts_contain_estimate(self):
+        for n in range(1, 2001):
+            for k in (0, n):
+                lo, hi = wilson_interval(k, n)
+                assert lo <= k / n <= hi, (k, n, lo, hi)
 
     def test_degenerate_counts(self):
         lo, hi = wilson_interval(0, 50)
