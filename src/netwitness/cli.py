@@ -217,6 +217,7 @@ def cmd_verify_ppt(args) -> int:
 
 def _protocol_inputs(args, *echo):
     lam, inputs = _family_inputs(args, "state", "state_file", "fidelity", *echo)
+    build_witness(args.family, args.d, lam, seed=args.seed)  # rejects a non-witness --lambda
     n = build_network(args.family, args.d, lam, seed=args.seed)
     return n, _load_state(args, n.d), inputs
 
@@ -264,8 +265,8 @@ def cmd_graph_demo(args) -> int:
     passed = (
         ghz_rep.verdict == "detected"
         and cl4_rep.verdict == "detected"
-        and identity_residual <= 1e-9
-        and abs(cl4_rep.witness_expectation + 0.5) <= 1e-9
+        and identity_residual <= RECON_TOL
+        and abs(cl4_rep.witness_expectation + 0.5) <= RECON_TOL
     )
     _emit(args, "graph demo", {"seed": args.seed}, {
         "ghz": ghz_rep.to_dict(),

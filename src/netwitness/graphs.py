@@ -151,9 +151,8 @@ def ghz_network() -> DensityOperator:
     return _uniform_pairing(kets, (2,) * 6)
 
 
-def multi_overlap_raw(rho: DensityOperator, net: DensityOperator, target) -> float:
-    """<target|K|target> for an n-qubit layer; the unscaled contraction value."""
-    return protocol.target_overlap(rho, net, target)
+# <target|K|target> for an n-qubit layer; the unscaled contraction value
+multi_overlap_raw = protocol.target_overlap
 
 
 def detect_multi_exact(rho: DensityOperator, net: DensityOperator, w: Witness,

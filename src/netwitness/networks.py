@@ -25,7 +25,8 @@ from .tensor import (
     mixture,
     partial_transpose,
 )
-from .witnesses import Witness, check_lambda_vec, two_qubit_pt_witness
+from .witnesses import (Witness, _bell_diagonal_matrix, _breuer_hall_paired, check_lambda_vec,
+                        two_qubit_pt_witness)
 
 SITE_NAMES = ("A2", "B2", "A3", "B3")
 
@@ -148,9 +149,6 @@ def pbd_network(lam, family: str = "pbd") -> NetworkState:
     d = len(lam)
     if lam[0] == 0.0:
         raise ValueError("threshold eta would be 0; witness not realizable this way")
-    wmat = -bell.bell_projector(d, 0, 0).data
-    for s in range(d):
-        wmat = wmat + lam[s] * bell.bell_row_projector(d, s).data
     pairs = ((lam[s] / d, bell.bell_projector(d, s, t).data)
              for s in range(d) if lam[s] != 0.0 for t in range(d))
     return NetworkState(
@@ -158,7 +156,7 @@ def pbd_network(lam, family: str = "pbd") -> NetworkState:
         eta=lam[0],
         recon_constant=lam[0] / d,
         family=family,
-        witness=Mat(wmat, (d, d)),
+        witness=_bell_diagonal_matrix(lam),
     )
 
 
@@ -196,7 +194,6 @@ def bh_network(d: int) -> NetworkState:
     eye = np.eye(d * d)
     projectors = (bell.bell_projector(d, s, t).data for s in range(d) for t in range(d))
     paired = mixture(((1 / (d * d), p, p) for p in projectors), (d,) * 4)
-    wmat = eye / d - p00 - fp / d
     return NetworkState(
         state=mixture([
             (float(c0), paired),
@@ -206,21 +203,23 @@ def bh_network(d: int) -> NetworkState:
         eta=1.0 / d,
         recon_constant=float(c0) / d**2,
         family="breuer-hall",
-        witness=Mat(wmat, (d, d)),
+        witness=_breuer_hall_paired(d),
     )
 
 
-def solve_decomposition(w: Witness, eta: float, pi_choices=None):
+def solve_decomposition(w: Witness, eta: float):
     """Solve for mixture weights c_j and scale k in the network-state ansatz.
 
-    The witness transpose is split into PSD terms W^T = sum_j a_j * Wn_j with
-    each Wn_j trace-normalized (default: positive/negative eigenspace parts).
-    Given readout operators Pi_j (PSD, unit trace), the weights satisfy
+    The witness transpose is split into its trace-normalized negative and
+    positive eigenspace parts, W^T = sum_j a_j * Wn_j, read out by the fixed
+    operators Pi = P_00 and (1 - P_00)/(d^2 - 1) respectively. The weights
+    satisfy
 
         a_j = k * c_j * (eta - <phi_00|Pi_j|phi_00>),  sum_j c_j = 1, k > 0,
 
     and N = sum_j c_j Wn_j (x) Pi_j reconstructs W^T / k. Raises when a term's
-    sign is incompatible with its Pi overlap.
+    sign is incompatible with its Pi overlap, which rounding brings about
+    only for eta within a few ulps of 1.
     """
     d = w.d
     if not (1.0 / d - 1e-12 <= eta < 1.0):
@@ -228,32 +227,23 @@ def solve_decomposition(w: Witness, eta: float, pi_choices=None):
     phi = bell.bell_ket(d, 0, 0)
     wt = w.mat.data.T
     vals, vecs = np.linalg.eigh(_hermitize(wt))
-    neg = vals < -1e-12
-    pos = vals > 1e-12
-    parts = []
-    for mask in (neg, pos):
+    p00 = bell.bell_projector(d, 0, 0)
+    rest = Mat((np.eye(d * d) - p00.data) / (d * d - 1), (d, d))
+    terms = []
+    gaps = []
+    k = 0.0
+    for mask, pi in ((vals < -1e-12, p00), (vals > 1e-12, rest)):
         if not np.any(mask):
             continue
         block = (vecs[:, mask] * vals[mask]) @ vecs[:, mask].conj().T
         a = float(np.real(np.trace(block)))  # signed weight
-        parts.append((a, Mat(_hermitize(block / a), w.mat.dims)))
-    if pi_choices is None:
-        p00 = bell.bell_projector(d, 0, 0)
-        rest = Mat((np.eye(d * d) - p00.data) / (d * d - 1), (d, d))
-        pi_choices = [p00, rest][: len(parts)]
-    pis = [p if isinstance(p, Mat) else Mat(p, (d, d)) for p in pi_choices]
-    if len(pis) != len(parts):
-        raise ValueError(f"need {len(parts)} readout operators, got {len(pis)}")
-    terms = []
-    gaps = []
-    k = 0.0
-    for j, ((a, wn), pi) in enumerate(zip(parts, pis)):
+        wn = Mat(_hermitize(block / a), w.mat.dims)
         overlap_phi = float(np.real(phi.conj() @ pi.data @ phi))
         gap = eta - overlap_phi
         if a * gap <= 0:
             want = "below" if a > 0 else "above"
             raise ValueError(
-                f"term {j} infeasible: coefficient {a:.6g} requires "
+                f"term {len(terms)} infeasible: coefficient {a:.6g} requires "
                 f"<phi_00|Pi|phi_00> {want} eta={eta}, got {overlap_phi:.6g}"
             )
         terms.append(DecompositionTerm(a=a, w=wn, pi=pi))
@@ -263,10 +253,10 @@ def solve_decomposition(w: Witness, eta: float, pi_choices=None):
     return terms, c, float(k)
 
 
-def network_from_decomposition(w: Witness, eta: float, pi_choices=None,
+def network_from_decomposition(w: Witness, eta: float, *,
                                family: str = "custom") -> NetworkState:
     """Assemble the solved decomposition into a network state."""
-    terms, c, k = solve_decomposition(w, eta, pi_choices)
+    terms, c, k = solve_decomposition(w, eta)
     return NetworkState(
         state=mixture(((cj, t.w.data, t.pi.data) for cj, t in zip(c, terms)), w.mat.dims * 2),
         eta=eta,

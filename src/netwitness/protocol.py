@@ -23,7 +23,6 @@ import numpy as np
 from . import bell
 from .networks import NetworkState
 from .tensor import DensityOperator, Mat, _indices, _read_only, density, overlap
-from .witnesses import Witness
 
 MIN_SUCCESS_PROB = 1e-14
 VERDICT_BAND = 1e-9  # |fraction - eta| window where sign cross-checks are skipped
@@ -220,26 +219,21 @@ def _verdict(fraction: float, eta: float) -> str:
     return "detected" if fraction > eta else "not_detected"
 
 
-def _witness_matrix(n: NetworkState, w) -> Mat:
-    if w is None:
-        return n.witness
-    return w.mat if isinstance(w, Witness) else w
-
-
-def detect_exact(rho: DensityOperator, n: NetworkState, w=None,
+def detect_exact(rho: DensityOperator, n: NetworkState, *,
                  provenance: dict | None = None) -> DetectionReport:
-    """Run the exact protocol and cross-check the verdict against tr[rho W].
+    """Run the exact protocol and cross-check the verdict against tr[rho W],
+    W the network's own witness.
 
     The verdict compares the filtered singlet fraction against eta with a
     strict inequality; disagreement with the sign of tr[rho W] outside a
     1e-9 band around the threshold raises ConsistencyError.
     """
-    return _detect(rho, n, w, provenance)[0]
+    return _detect(rho, n, provenance)[0]
 
 
-def _detect(rho: DensityOperator, n: NetworkState, w, provenance):
+def _detect(rho: DensityOperator, n: NetworkState, provenance):
     """detect_exact's report together with the contraction K and tr K."""
-    return detect_target(rho, n.state, _witness_matrix(n, w), n.eta,
+    return detect_target(rho, n.state, n.witness, n.eta,
                          bell.bell_ket(n.d, 0, 0), provenance)
 
 
@@ -287,7 +281,7 @@ def wilson_interval(successes: int, trials: int):
     return lo, hi
 
 
-def detect_shots(rho: DensityOperator, n: NetworkState, w=None, shots: int = 10000,
+def detect_shots(rho: DensityOperator, n: NetworkState, *, shots: int = 10000,
                  rng_seed: int = 0, provenance: dict | None = None) -> DetectionReport:
     """Finite-statistics emulation of the protocol.
 
@@ -302,7 +296,7 @@ def detect_shots(rho: DensityOperator, n: NetworkState, w=None, shots: int = 100
     (shots,) = _indices((shots,), "shots")
     if not 1 <= shots <= MAX_SHOTS:
         raise ValueError(f"shots must lie in [1, {MAX_SHOTS}], not {shots}")
-    exact, k, trk = _detect(rho, n, w, provenance)
+    exact, k, trk = _detect(rho, n, provenance)
     rng = np.random.default_rng(rng_seed)
     p = bell_outcome_distribution(rho, n).reshape(-1)
     p = np.clip(p, 0.0, None)

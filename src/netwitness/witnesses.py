@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bell
-from .tensor import DensityOperator, Mat, partial_transpose
+from .tensor import STRUCTURAL_TOL, DensityOperator, Mat, partial_transpose
 
 # A witness must dip below zero somewhere to detect anything.
 NEGATIVITY_TOL = 1e-12
@@ -31,7 +31,7 @@ class Witness:
     lambda_vec: tuple | None = None
 
     def __post_init__(self):
-        if self.mat.hermiticity_defect() > 1e-10:
+        if self.mat.hermiticity_defect() > STRUCTURAL_TOL:
             raise ValueError(f"{self.family} witness matrix is not Hermitian")
         if float(np.linalg.eigvalsh(self.mat.data)[0]) >= -NEGATIVITY_TOL:
             raise ValueError(
@@ -105,10 +105,16 @@ def bell_diagonal_witness(
             f"not a valid Bell-diagonal witness: cyclic inequality violated "
             f"(worst value {result.worst_value:.6g} > {d})"
         )
+    return Witness(_bell_diagonal_matrix(lam), family, lam[0], lambda_vec=lam)
+
+
+def _bell_diagonal_matrix(lam) -> Mat:
+    """sum_s lambda_s Pi_s - P_00 on d (x) d, d = len(lambda); lambda unscreened."""
+    d = len(lam)
     m = -bell.bell_projector(d, 0, 0).data
     for s in range(d):
         m = m + lam[s] * bell.bell_row_projector(d, s).data
-    return Witness(Mat(m, (d, d)), family, lam[0], lambda_vec=lam)
+    return Mat(m, (d, d))
 
 
 def choi_witness() -> Witness:
@@ -125,10 +131,14 @@ def breuer_hall_witness(d: int) -> Witness:
     """(1/(d-2)) * (1/d - P_00 - F'/d) in even dimension d >= 4."""
     if d % 2 or d < 4:
         raise ValueError("Breuer-Hall witness requires even dimension >= 4")
+    return Witness(Mat(_breuer_hall_paired(d).data / (d - 2), (d, d)), "breuer-hall", 1.0 / d)
+
+
+def _breuer_hall_paired(d: int) -> Mat:
+    """The unscaled Breuer-Hall form 1/d - P_00 - F'/d; d unchecked."""
     fp = bell.twisted_flip(d).data
     p00 = bell.bell_projector(d, 0, 0).data
-    m = (np.eye(d * d) / d - p00 - fp / d) / (d - 2)
-    return Witness(Mat(m, (d, d)), "breuer-hall", 1.0 / d)
+    return Mat(np.eye(d * d) / d - p00 - fp / d, (d, d))
 
 
 @dataclass(frozen=True)

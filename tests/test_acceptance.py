@@ -133,7 +133,7 @@ def test_acceptance_04_bound_entanglement_scan():
         assert result.found
         assert result.min_pt_eig >= -1e-12
         assert result.witness_value <= -1e-4
-        rep = detect_exact(result.rho, choi_network(), choi_witness())
+        rep = detect_exact(result.rho, choi_network())
         assert rep.verdict == "detected"
         assert rep.singlet_fraction > 2 / 3
 

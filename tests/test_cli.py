@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +13,8 @@ from netwitness.networks import ppt_report
 from netwitness.reports import canonical_json, to_csv
 from netwitness.tensor import Mat
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def run_cli(args, capsys):
@@ -116,6 +120,21 @@ class TestProtocolShots:
         report = json.loads(out1)
         assert report["outputs"]["shots"]["seed"] == 11
         assert report["inputs"]["shots"] == 2000
+
+
+@pytest.mark.parametrize("command", [["run"], ["shots", "--shots", "100"]],
+                         ids=["run", "shots"])
+def test_protocol_rejects_a_lambda_that_is_no_witness(capsys, tmp_path, command):
+    # lambda = (0.1, 0.9) violates the cyclic inequality; unscreened, the run
+    # would call the product state |00> "detected"
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(Mat(np.diag([1.0, 0.0, 0.0, 0.0]), (2, 2)).to_dict()))
+    err = usage_error(["protocol", *command, "--family", "pbd", "--lambda", "0.1,0.9",
+                       "--state-file", str(path)], capsys)
+    assert "cyclic inequality violated" in err
+    # the network itself is still built: the identity holds for any lambda
+    assert main(["network", "build", "--family", "pbd", "--lambda", "0.1,0.9",
+                 "--out", str(tmp_path / "net.json")]) == 0
 
 
 class TestVerify:
@@ -262,6 +281,13 @@ class TestFamilyTable:
         cuts = {cut for d in (2, 3, 4) for cut, _, _ in ppt_expectations(family, d)}
         assert cuts <= set(ppt_report(n))
 
+    @pytest.mark.parametrize("family", [f for f in FAMILIES if FAMILIES[f] is not FAMILIES["bh"]])
+    def test_network_witness_has_the_builders_bits(self, family):
+        # one formula per witness: the network carries the builder's matrix
+        lam = (0.4, 0.3, 0.2, 0.1) if FAMILIES[family].d is None else None
+        w = build_witness(family, None, lam).mat.data
+        assert build_network(family, None, lam).witness.data.tobytes() == w.tobytes()
+
     def test_readme_family_list_matches_table(self):
         cli_section = README.read_text(encoding="utf-8").split("\n## CLI\n")[1]
         cli_section = cli_section.split("\n## ")[0]
@@ -332,3 +358,28 @@ class TestReportFormats:
     def test_csv_drops_lists(self):
         text = to_csv({"a": [1, 2, 3], "b": 1.5})
         assert "a" not in text.split("\n")[0]
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["network", "build", "--family", "bh", "--d", "4"],
+    ["network", "build", "--family", "pbd", "--lambda", "0.4,0.3,0.2,0.1"],
+    ["verify", "reconstruction", "--family", "pbd", "--d", "3", "--lambda", "2/3,1/3,0"],
+    ["verify", "ppt", "--family", "smolin"],
+    ["protocol", "run", "--family", "two-qubit", "--state", "psi-minus"],
+], ids=["import", "network-bh4", "network-pbd4", "verify-reconstruction-pbd3",
+        "verify-ppt-smolin", "protocol-run-two-qubit"])
+def test_command_leaves_numpy_random_unloaded(tmp_path, argv):
+    # loading numpy.random adds about 5 MB to a command's peak RSS
+    code = ("import sys, netwitness\n"
+            "from netwitness.cli import main\n"
+            f"argv = {argv!r}\n"
+            f"assert not argv or main(argv + ['--out', {str(tmp_path / 'r')!r}]) == 0\n"
+            "print('numpy.random' in sys.modules)\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]

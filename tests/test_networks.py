@@ -77,18 +77,19 @@ class TestSolveDecomposition:
         assert np.isclose(terms[1].a, 1.5, atol=1e-12)
 
     def test_explicit_pi_choices_reproduce_standard_network(self):
-        w = two_qubit_pt_witness()
-        p00 = bell.bell_projector(2, 0, 0)
-        rest = Mat((np.eye(4) - p00.data) / 3, (2, 2))
-        net = network_from_decomposition(w, 0.5, [p00, rest])
+        # the fixed readouts P_00 and (1 - P_00)/3 give the standard mixture
+        net = network_from_decomposition(two_qubit_pt_witness(), 0.5)
         assert np.max(np.abs(net.state.data - two_qubit_network().state.data)) <= 1e-12
         assert np.isclose(net.recon_constant, 0.25)
+        # readouts passed where the removed option stood do not become the family
+        p00 = bell.bell_projector(2, 0, 0)
+        with pytest.raises(TypeError):
+            network_from_decomposition(two_qubit_pt_witness(), 0.5, [p00, p00])
 
     def test_sign_contradiction_raises(self):
-        w = two_qubit_pt_witness()
-        p00 = bell.bell_projector(2, 0, 0)
-        with pytest.raises(ValueError, match="term 1 infeasible"):
-            solve_decomposition(w, 0.5, [p00, p00])
+        # one ulp below 1, eta - <phi_00|P_00|phi_00> rounds to a non-negative gap
+        with pytest.raises(ValueError, match="term 0 infeasible"):
+            solve_decomposition(two_qubit_pt_witness(), 0.9999999999999999)
 
     def test_random_q_witness_reconstructs(self):
         for seed in range(5):
@@ -570,14 +571,6 @@ class TestMixtureCertificate:
         assert radius * 9 > 1 / 0.9
         with pytest.raises(ValueError, match="eigenvalue below"):
             decomposable_network(Q3, lam=0.9 * radius)
-
-    def test_decomposition_with_non_psd_readout(self):
-        w = two_qubit_pt_witness()
-        p00 = bell.bell_projector(2, 0, 0)
-        bad = (np.eye(4) - p00.data) / 3 + 0.5 * np.diag([0.0, 1.0, -1.0, 0.0])
-        solve_decomposition(w, 0.5, [p00, Mat(bad, (2, 2))])  # the sign conditions hold
-        with pytest.raises(ValueError, match="eigenvalue below"):
-            network_from_decomposition(w, 0.5, [p00, Mat(bad, (2, 2))])
 
 
 def test_builds_decompose_no_matrix_larger_than_a_factor(monkeypatch):

@@ -151,6 +151,15 @@ class TestDetectExact:
         assert abs(rep.singlet_fraction - 1.0) <= 1e-12
         assert abs(rep.witness_expectation + 0.5) <= 1e-12
 
+    def test_network_fixes_the_witness(self):
+        # a witness passed where the removed override stood fails loudly
+        # instead of landing in provenance or shots
+        w = two_qubit_pt_witness()
+        with pytest.raises(TypeError):
+            detect_exact(PSI_MINUS, two_qubit_network(), w)
+        with pytest.raises(TypeError):
+            detect_shots(PSI_MINUS, two_qubit_network(), w, 100)
+
     def test_maximally_mixed_not_detected(self):
         rep = detect_exact(MIXED2, two_qubit_network())
         assert rep.verdict == "not_detected"
