@@ -178,9 +178,15 @@ def measurement_circuit_probs(sigma: DensityOperator) -> np.ndarray:
     maps |phi_st> to the computational ket |t, s>.
     """
     d = sigma.dims[0]
-    u = np.kron(qudit_hadamard(d).conj().T, np.eye(d)) @ qudit_cnot(d).T
+    u = _readout_circuit(d)
     probs = np.real(np.diag(u @ sigma.data @ u.conj().T))
     return probs.reshape(d, d)
+
+
+@functools.cache
+def _readout_circuit(d: int) -> np.ndarray:
+    """Read-only (H^dag (x) 1) CNOT^dag on two qudits."""
+    return _read_only(np.kron(qudit_hadamard(d).conj().T, np.eye(d)) @ qudit_cnot(d).T)
 
 
 @functools.cache

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bell
-from .tensor import DensityOperator, _indices, density, partial_transpose
+from .tensor import DensityOperator, Mat, _indices, density, partial_transpose
 from .witnesses import choi_witness
 
 PPT_EIG_FLOOR = -1e-12
@@ -91,14 +91,12 @@ class ScanResult:
         return out
 
 
-def _bell_basis_and_pt(d: int = 3):
-    projs, pts = [], []
-    for s in range(d):
-        for t in range(d):
-            pm = bell.bell_projector(d, s, t)
-            projs.append(pm.data)
-            pts.append(partial_transpose(pm, {1}).data)
-    return projs, pts
+def _pt_gather(dims) -> np.ndarray:
+    """Flat index map g with m.reshape(-1)[g] == partial_transpose(m, {1}).data:
+    a partial transpose only permutes entries."""
+    side = int(np.prod(dims))
+    flat = Mat(np.arange(side * side).reshape(side, side), dims)
+    return partial_transpose(flat, {1}).data.real.astype(np.intp)
 
 
 def find_choi_detected_ppt(grid_resolution: int = 40, rng_seed: int = 0) -> ScanResult:
@@ -108,15 +106,17 @@ def find_choi_detected_ppt(grid_resolution: int = 40, rng_seed: int = 0) -> Scan
     b, c = 1 - a - b on the s = 1 and s = 2 Bell rows; the witness value is
     (b - a)/3 in this slice. A simplex grid at the given resolution, scanned
     one row of fixed a at a time as stacked arrays, is followed by local
-    step-halving refinement. The search itself certifies the result: min
-    eigenvalue of the partial transpose >= -1e-12 and tr[W rho] <= -1e-4, or
-    an explicit not-found outcome. The search is deterministic; ``rng_seed``
+    step-halving refinement whose moves are evaluated in stacked calls too;
+    each partial transpose is a gather of its state's entries. The search
+    itself certifies the result: min eigenvalue of the partial transpose
+    >= -1e-12 and tr[W rho] <= -1e-4, or an explicit not-found outcome. The search is deterministic; ``rng_seed``
     is only echoed in the result.
     """
     if grid_resolution < 2:
         raise ValueError("resolution must be >= 2")
     wmat = choi_witness().mat.data
-    projs, pts = _bell_basis_and_pt(3)
+    projs = [bell.bell_projector(3, s, t).data for s in range(3) for t in range(3)]
+    gather = _pt_gather((3, 3))
 
     def evaluate(a: np.ndarray, b: np.ndarray):
         """Weights, states, witness values and min partial-transpose
@@ -125,7 +125,7 @@ def find_choi_detected_ppt(grid_resolution: int = 40, rng_seed: int = 0) -> Scan
         zero = np.zeros_like(a)
         w = np.stack([a, zero, zero, b / 3, b / 3, b / 3, c / 3, c / 3, c / 3], axis=1)
         m = sum(w[:, i, None, None] * projs[i] for i in range(9))
-        pt = sum(w[:, i, None, None] * pts[i] for i in range(9))
+        pt = m.reshape(len(m), -1)[:, gather]
         wval = np.real(np.trace(wmat @ m, axis1=1, axis2=2))
         min_eig = np.linalg.eigvalsh((pt + pt.conj().transpose(0, 2, 1)) / 2)[:, 0]
         feasible = (min_eig >= PPT_EIG_FLOOR) & (wval <= WITNESS_CUTOFF)
@@ -148,14 +148,22 @@ def find_choi_detected_ppt(grid_resolution: int = 40, rng_seed: int = 0) -> Scan
         h = step
         for _ in range(12):
             improved = False
-            for da, db in ((h, 0), (-h, 0), (0, h), (0, -h), (h, -h), (-h, h)):
-                ca, cb = a + da, b + db
-                if ca < 0 or cb < 0 or ca + cb > 1:
-                    continue
-                p, m, cand, min_eig, feasible = evaluate(np.array([ca]), np.array([cb]))
-                if feasible[0] and cand[0] < wval:
-                    wval, a, b, payload = float(cand[0]), ca, cb, (p[0], m[0], float(min_eig[0]))
-                    improved = True
+            moves = ((h, 0), (-h, 0), (0, h), (0, -h), (h, -h), (-h, h))
+            # one stacked call for the moves still to try; after an accepted
+            # move the rest start from the new point, as a one-by-one sweep does
+            while moves:
+                ca = np.array([a + da for da, _ in moves])
+                cb = np.array([b + db for _, db in moves])
+                inside = np.flatnonzero((ca >= 0) & (cb >= 0) & (ca + cb <= 1))
+                p, m, cand, min_eig, feasible = evaluate(ca[inside], cb[inside])
+                better = np.flatnonzero(feasible & (cand < wval))
+                if not better.size:
+                    break
+                k = better[0]
+                wval, payload = float(cand[k]), (p[k], m[k], float(min_eig[k]))
+                a, b = float(ca[inside[k]]), float(cb[inside[k]])
+                moves = moves[inside[k] + 1:]
+                improved = True
             if not improved:
                 h /= 2
         p, m, min_eig = payload

@@ -8,6 +8,7 @@ all transposes are taken in the computational basis.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass
 
@@ -44,18 +45,7 @@ class Mat:
     dims: tuple
 
     def __post_init__(self):
-        data = np.array(self.data, dtype=complex)
-        dims = _indices(self.dims, "dims")
-        if not dims:
-            raise ValueError("dims must be non-empty")
-        if min(dims) < 2:
-            raise ValueError("every tensor factor must have dimension >= 2")
-        side = int(np.prod(dims))
-        if data.shape != (side, side):
-            raise ValueError(f"matrix of shape {data.shape} does not match dims {dims}")
-        data.setflags(write=False)
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "dims", dims)
+        _settle(self, np.array(self.data, dtype=complex), self.dims)
 
     @property
     def side(self) -> int:
@@ -65,7 +55,13 @@ class Mat:
         return complex(np.trace(self.data))
 
     def hermiticity_defect(self) -> float:
-        return float(np.max(np.abs(self.data - self.data.conj().T)))
+        """max |M - M^dag| entrywise, over the upper triangle (the defect is
+        symmetric) in row blocks of about 2**14 entries: no full-size temporary."""
+        m, step = self.data, max(1, 2**14 // self.side)
+        return float(functools.reduce(np.maximum, (  # np.maximum keeps a NaN
+            np.max(np.abs(m[i:i + step, i:] - m[i:, i:i + step].conj().T))
+            for i in range(0, self.side, step)
+        )))
 
     def to_dict(self) -> dict:
         """JSON form {dims, re, im}; entries row-major."""
@@ -93,6 +89,22 @@ class Mat:
             raise ValueError(f"matrix JSON has a value of the wrong type: {exc}") from None
         side = int(np.prod(dims))
         return cls(flat.reshape(side, side), dims)
+
+
+def _settle(m: Mat, data: np.ndarray, dims) -> None:
+    """Check ``dims`` against the complex ``data`` and store both on m; m takes
+    ``data`` as it is, read-only, without a copy."""
+    dims = _indices(dims, "dims")
+    if not dims:
+        raise ValueError("dims must be non-empty")
+    if min(dims) < 2:
+        raise ValueError("every tensor factor must have dimension >= 2")
+    side = int(np.prod(dims))
+    if data.shape != (side, side):
+        raise ValueError(f"matrix of shape {data.shape} does not match dims {dims}")
+    data.setflags(write=False)
+    object.__setattr__(m, "data", data)
+    object.__setattr__(m, "dims", dims)
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,7 +184,8 @@ def mixture(terms, dims) -> DensityOperator:
             raise ValueError("mixture factor is not finite and Hermitian within 1e-10")
         if np.linalg.eigvalsh(stack)[:, 0].min() < -STRUCTURAL_TOL:
             raise ValueError("mixture factor has an eigenvalue below -1e-10")
-    mat = Mat(acc, dims)
+    mat = object.__new__(Mat)  # mixture owns acc: wrap it without a copy
+    _settle(mat, acc, dims)
     _check_structure(mat)
     state = object.__new__(DensityOperator)  # certified above: skip the dense eigvalsh
     object.__setattr__(state, "mat", mat)

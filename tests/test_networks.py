@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -560,6 +561,17 @@ class TestMixtureCertificate:
     def test_rejects_nested_term_that_is_not_a_density_operator(self, rho):
         with pytest.raises(ValueError, match="DensityOperator"):
             mixture([(1.0, rho)], (2,) * 4)
+
+    def test_no_full_size_copy_or_temporary(self):
+        # the sum and the one term buffer are the only full-size arrays
+        a = np.eye(32) / 32
+        tracemalloc.start()
+        try:
+            state = mixture([(1.0, a, a)], (2,) * 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * state.data.nbytes
 
     def test_still_checks_the_trace_of_the_sum(self):
         with pytest.raises(ValueError, match="trace"):

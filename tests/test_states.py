@@ -11,6 +11,7 @@ from netwitness.states import (
     PPT_EIG_FLOOR,
     WITNESS_CUTOFF,
     ScanResult,
+    _pt_gather,
     bell_diagonal_state,
     find_choi_detected_ppt,
     isotropic_state,
@@ -209,7 +210,7 @@ def _loop_scan(grid_resolution: int, rng_seed: int = 0) -> ScanResult:
 
 
 class TestChoiScanMatchesLoop:
-    @pytest.mark.parametrize("resolution", [2, 3, 7, 10, 40, 80])
+    @pytest.mark.parametrize("resolution", [2, 3, 7, 10, 12, 40, 57, 80, 120])
     def test_bit_identical_to_point_loop(self, resolution):
         fast, ref = find_choi_detected_ppt(resolution, rng_seed=5), _loop_scan(resolution, 5)
         assert fast.to_dict() == ref.to_dict()
@@ -218,6 +219,13 @@ class TestChoiScanMatchesLoop:
             assert fast.rho.data.tobytes() == ref.rho.data.tobytes()
             assert fast.p.tobytes() == ref.p.tobytes()
             assert (fast.witness_value, fast.min_pt_eig) == (ref.witness_value, ref.min_pt_eig)
+
+    @pytest.mark.parametrize("s", range(3))
+    @pytest.mark.parametrize("t", range(3))
+    def test_pt_gather_is_partial_transpose(self, s, t):
+        pm = bell.bell_projector(3, s, t)
+        gathered = pm.data.reshape(-1)[_pt_gather((3, 3))]
+        assert gathered.tobytes() == partial_transpose(pm, {1}).data.tobytes()
 
     def test_memory_stays_one_row(self):
         tracemalloc.start()

@@ -114,6 +114,15 @@ class TestMat:
     def test_accepts_numpy_integer_dims(self):
         assert Mat(np.eye(4), (np.int64(2), np.int32(2))).dims == (2, 2)
 
+    @pytest.mark.parametrize("dims", [(2, 3), (20, 20), (2, 3, 7, 7)])
+    def test_hermiticity_defect_equals_dense_form(self, dims):
+        # (20, 20) and (2, 3, 7, 7) span several row blocks of the check
+        m = random_mat(dims, seed=5).data
+        assert Mat(m, dims).hermiticity_defect() == float(np.max(np.abs(m - m.conj().T)))
+        m = m.copy()
+        m[-1, 0] = np.nan
+        assert np.isnan(Mat(m, dims).hermiticity_defect())
+
 
 class TestKron:
     def test_identity_case(self):

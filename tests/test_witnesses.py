@@ -271,6 +271,14 @@ def _seesaw_reference(mat, restarts=64, iters=200, rng_seed=0, tol=1e-10):
     return best
 
 
+def _random_hermitian(dims, seed):
+    """Seeded Gaussian Hermitian operator on dims, as a Witness (it has a
+    negative eigenvalue for these seeds)."""
+    side = dims[0] * dims[1]
+    g = np.random.default_rng(seed).standard_normal((side, side, 2)) @ [1, 1j]
+    return Witness(Mat((g + g.conj().T) / 2, dims), "random", 0.0)
+
+
 def _product_sample_min(mat, samples, rng_seed):
     """Smallest <a,b|W|a,b> over random unit product vectors."""
     da, db = mat.dims
@@ -299,6 +307,9 @@ class TestSepFloor:
             lambda: breuer_hall_witness(4),
             two_qubit_pt_witness,
             lambda: decomposable_witness(random_state((3, 3), rng_seed=11, rank=1)),
+            lambda: _random_hermitian((2, 3), 21),
+            lambda: _random_hermitian((3, 2), 22),
+            lambda: _random_hermitian((2, 4), 23),
         ],
     )
     def test_matches_per_restart_loop(self, factory):
