@@ -251,17 +251,13 @@ def cmd_scan_choi(args) -> int:
 
 def cmd_graph_demo(args) -> int:
     rng_rho = states.random_state((2, 2, 2), rng_seed=args.seed)
-    ghz = density(np.outer(graphs.ghz_ket(), graphs.ghz_ket()), (2, 2, 2))
-    ghz_rep = graphs.ghz_detect_exact(ghz, provenance={"state": "ghz"})
-    identity_residual = abs(
-        graphs.multi_overlap_raw(rng_rho, graphs.ghz_network(), graphs.ghz_ket())
-        - (1 / 16 - graphs.ghz_witness().expectation(rng_rho) / 8)
-    )
-    g = graphs.cl4_graph()
-    cluster = density(
-        np.outer(graphs.graph_basis_state(g, "0000"),
-                 graphs.graph_basis_state(g, "0000").conj()), (2, 2, 2, 2))
-    cl4_rep = graphs.cl4_detect_exact(cluster, provenance={"state": "cl4-cluster"})
+    (ghz_net, ghz_w, ghz), cluster = graphs.ghz_protocol(), graphs.cl4_protocol()[2]
+    ghz_rep = graphs.ghz_detect_exact(density(np.outer(ghz, ghz), (2,) * 3),
+                                      provenance={"state": "ghz"})
+    identity_residual = abs(graphs.multi_overlap_raw(rng_rho, ghz_net, ghz)
+                            - (1 / 16 - ghz_w.expectation(rng_rho) / 8))
+    cl4_rep = graphs.cl4_detect_exact(density(np.outer(cluster, cluster), (2,) * 4),
+                                      provenance={"state": "cl4-cluster"})
     passed = (
         ghz_rep.verdict == "detected"
         and cl4_rep.verdict == "detected"

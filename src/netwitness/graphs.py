@@ -1,8 +1,14 @@
 """Graph states and the n-party extension of the detection protocol.
 
-A graph basis ket is built from the graph-state circuit (|+>^n, then a
-controlled-Z on every edge) with Z flips at the labelled vertices; GHZ and
-cluster witnesses pair these kets uniformly across the network layers.
+A graph basis ket is |G_x> = CZ_E H^n |x> for a bit string x and edge set E
+(Hein, Eisert, Briegel, PRA 69, 062311, 2004). H^n gives |b> the sign
+(-1)^{x.b} and the controlled-Z on an edge (i, j) the sign (-1)^{b_i b_j}, so
+<b|G_x> = 2^{-n/2} (-1)^{sum_E b_i b_j + x.b}. ``_graph_kets`` builds these
+rows as one table; GHZ and cluster witnesses pair them uniformly across the
+network layers. Every entry is +-c with c = 2.0 ** (-n / 2). For even n,
+c*c = 2^{-n} and every sum of products is exact in any order; for odd n,
+c*c = 2^{-n}(1 + 2^{-52}), whose multiples may round, so the witness sums its
+projectors in label order.
 
 Qubits are vertices 1..n; the joint protocol space is grouped by layer,
 (layer 1 vertices, layer 2 vertices, layer 3 vertices), and the Bell
@@ -56,55 +62,42 @@ CL4_LABELS = (
 )
 
 
-def _parse_label(x, n: int) -> tuple:
-    bits = tuple(int(c) for c in x) if isinstance(x, str) else _indices(x, "label bits")
-    if len(bits) != n or any(b not in (0, 1) for b in bits):
-        raise ValueError(f"label {x!r} is not a length-{n} bit string")
-    return bits
-
-
-def graph_state_circuit(g: GraphSpec) -> np.ndarray:
-    """|+>^n followed by a controlled-Z on every edge."""
-    ket = np.full(2**g.n, 2.0 ** (-g.n / 2))
-    t = ket.reshape((2,) * g.n)
-    for i, j in g.edges:
-        sl = [slice(None)] * g.n
-        sl[i - 1] = 1
-        sl[j - 1] = 1
-        t[tuple(sl)] *= -1.0
-    return t.reshape(-1)
+def _graph_kets(g: GraphSpec, labels) -> np.ndarray:
+    """(|S|, 2^n) table whose row s is the graph basis ket of the s-th label."""
+    rows = {}
+    for x in labels:
+        bits = tuple(int(c) for c in x) if isinstance(x, str) else _indices(x, "label bits")
+        if len(bits) != g.n or any(b not in (0, 1) for b in bits):
+            raise ValueError(f"label {x!r} is not a length-{g.n} bit string")
+        if bits in rows:
+            raise ValueError(f"repeated graph label {x!r}")
+        rows[bits] = None
+    if not rows:
+        raise ValueError("label set must be non-empty")
+    b = (np.arange(2**g.n)[:, None] >> np.arange(g.n - 1, -1, -1)) & 1  # bit of vertex i+1 in |k>
+    i, j = (np.array(g.edges, dtype=int).reshape(-1, 2) - 1).T
+    parity = (b[:, i] & b[:, j]).sum(axis=1) + np.array(list(rows)) @ b.T
+    return np.where(parity % 2, -1.0, 1.0) * 2.0 ** (-g.n / 2)
 
 
 def graph_basis_state(g: GraphSpec, x) -> np.ndarray:
-    """Joint eigenket of the generators with signs (-1)^{x_i}.
+    """Joint eigenket of the generators with signs (-1)^{x_i}."""
+    return _graph_kets(g, [x])[0]
 
-    Built by flipping the base circuit state with Z at every vertex where
-    x_i = 1; the projector-product definition is kept as the test oracle.
-    """
-    bits = _parse_label(x, g.n)
-    t = graph_state_circuit(g).reshape((2,) * g.n).copy()
-    for i, b in enumerate(bits):
-        if b:
-            sl = [slice(None)] * g.n
-            sl[i] = 1
-            t[tuple(sl)] *= -1.0
-    return t.reshape(-1)
+
+def _table_witness(g: GraphSpec, kets: np.ndarray) -> Witness:
+    """(1/2) K^T K - v0 v0^T for the ket table K and the all-zeros ket v0;
+    K^T K is summed row by row in label order (see the module note)."""
+    v0 = graph_basis_state(g, (0,) * g.n)
+    if not (kets == v0).all(axis=1).any():
+        raise ValueError("label set must contain the all-zeros string")
+    m = 0.5 * (kets[:, :, None] * kets[:, None, :]).sum(axis=0) - np.outer(v0, v0)
+    return Witness(Mat(m, (2,) * g.n), "graph", 0.5)
 
 
 def graph_witness(g: GraphSpec, labels) -> Witness:
     """(1/2) sum over the label set of graph projectors, minus the all-zeros one."""
-    labels = [_parse_label(x, g.n) for x in labels]
-    if not labels:
-        raise ValueError("label set must be non-empty")
-    if (0,) * g.n not in labels:
-        raise ValueError("label set must contain the all-zeros string")
-    m = np.zeros((2**g.n, 2**g.n), dtype=complex)
-    for bits in labels:
-        v = graph_basis_state(g, bits)
-        m += 0.5 * np.outer(v, v.conj())
-    v0 = graph_basis_state(g, (0,) * g.n)
-    m -= np.outer(v0, v0.conj())
-    return Witness(Mat(m, (2,) * g.n), "graph", 0.5)
+    return _table_witness(g, _graph_kets(g, labels))
 
 
 def _uniform_pairing(kets, dims) -> DensityOperator:
@@ -115,11 +108,7 @@ def _uniform_pairing(kets, dims) -> DensityOperator:
 
 def graph_network(g: GraphSpec, labels) -> DensityOperator:
     """Uniform pairing of graph-basis projectors across layers 2 and 3."""
-    labels = [_parse_label(x, g.n) for x in labels]
-    if not labels:
-        raise ValueError("label set must be non-empty")
-    kets = [graph_basis_state(g, bits) for bits in labels]
-    return _uniform_pairing(kets, (2,) * (2 * g.n))
+    return _uniform_pairing(_graph_kets(g, labels), (2,) * (2 * g.n))
 
 
 def ghz_ket(a: int = 0, b: int = 0, c: int = 0) -> np.ndarray:
@@ -165,22 +154,23 @@ def detect_multi_exact(rho: DensityOperator, net: DensityOperator, w: Witness,
 # The protocol objects are immutable (Mat data and the target are read-only),
 # so each family is built and validated once per process.
 @functools.cache
-def _ghz_protocol():
+def ghz_protocol():
     """(network, witness, target ket) of the GHZ protocol."""
     return ghz_network(), ghz_witness(), _read_only(ghz_ket())
 
 
 @functools.cache
-def _cl4_protocol():
-    """(network, witness, target ket) of the four-qubit cluster protocol."""
+def cl4_protocol():
+    """(network, witness, target ket) of the four-qubit cluster protocol,
+    all from one ket table; its first row is the all-zeros label's."""
     g = cl4_graph()
-    return (graph_network(g, CL4_LABELS), graph_witness(g, CL4_LABELS),
-            _read_only(graph_basis_state(g, "0000")))
+    kets = _read_only(_graph_kets(g, CL4_LABELS))
+    return _uniform_pairing(kets, (2,) * 8), _table_witness(g, kets), kets[0]
 
 
 def ghz_detect_exact(rho: DensityOperator, provenance: dict | None = None):
-    return detect_multi_exact(rho, *_ghz_protocol(), provenance=provenance)
+    return detect_multi_exact(rho, *ghz_protocol(), provenance=provenance)
 
 
 def cl4_detect_exact(rho: DensityOperator, provenance: dict | None = None):
-    return detect_multi_exact(rho, *_cl4_protocol(), provenance=provenance)
+    return detect_multi_exact(rho, *cl4_protocol(), provenance=provenance)

@@ -109,8 +109,8 @@ def find_choi_detected_ppt(grid_resolution: int = 40, rng_seed: int = 0) -> Scan
     step-halving refinement whose moves are evaluated in stacked calls too;
     each partial transpose is a gather of its state's entries. The search
     itself certifies the result: min eigenvalue of the partial transpose
-    >= -1e-12 and tr[W rho] <= -1e-4, or an explicit not-found outcome. The search is deterministic; ``rng_seed``
-    is only echoed in the result.
+    >= -1e-12 and tr[W rho] <= -1e-4, or an explicit not-found outcome.
+    The search is deterministic; ``rng_seed`` is only echoed in the result.
     """
     if grid_resolution < 2:
         raise ValueError("resolution must be >= 2")

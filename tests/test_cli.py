@@ -28,6 +28,17 @@ def run_json(args, capsys):
     return code, json.loads(out)
 
 
+def run_fresh(code: str) -> str:
+    """Run ``code`` in a new interpreter with ``src`` on the path; return its stdout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def usage_error(args, capsys):
     """Run the CLI, expect exit code 2 with an ``error:`` or usage line; return stderr."""
     with pytest.raises(SystemExit) as err:
@@ -324,6 +335,16 @@ class TestScanAndGraph:
         assert out["cl4"]["verdict"] == "detected"
         assert abs(out["cl4"]["witness_expectation"] + 0.5) <= 1e-9
 
+    def test_graph_demo_builds_each_network_once(self, tmp_path):
+        # a fresh process, so that no protocol is cached yet: GHZ and CL4, one build each
+        code = ("import netwitness.graphs as graphs\n"
+                "from netwitness.cli import main\n"
+                "builds, build = [], graphs.mixture\n"
+                "graphs.mixture = lambda *a: builds.append(a) or build(*a)\n"
+                f"assert main(['graph', 'demo', '--out', {str(tmp_path / 'r')!r}]) == 0\n"
+                "print(len(builds))\n")
+        assert run_fresh(code).split() == ["2"]
+
 
 class TestReportFormats:
     def test_out_file(self, capsys, tmp_path):
@@ -376,10 +397,4 @@ def test_command_leaves_numpy_random_unloaded(tmp_path, argv):
             f"argv = {argv!r}\n"
             f"assert not argv or main(argv + ['--out', {str(tmp_path / 'r')!r}]) == 0\n"
             "print('numpy.random' in sys.modules)\n")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False"]
+    assert run_fresh(code).split() == ["False"]

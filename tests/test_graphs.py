@@ -14,7 +14,6 @@ from netwitness.graphs import (
     ghz_witness,
     graph_basis_state,
     graph_network,
-    graph_state_circuit,
     graph_witness,
     multi_overlap_raw,
 )
@@ -26,6 +25,7 @@ X = np.array([[0, 1], [1, 0]])
 Z = np.diag([1.0, -1.0])
 
 PATH2 = GraphSpec(2, ((1, 2),))
+CYCLE5 = GraphSpec(5, ((1, 2), (2, 3), (3, 4), (4, 5), (1, 5)))
 
 
 def dm(ket, dims):
@@ -63,9 +63,13 @@ def generator(g: GraphSpec, i: int) -> Mat:
     return Mat(m, (2,) * g.n)
 
 
+def label_bits(x) -> tuple:
+    return tuple(int(c) for c in x) if isinstance(x, str) else tuple(x)
+
+
 def graph_basis_projector(g: GraphSpec, x) -> Mat:
     """Product of (1 + (-1)^{x_i} g_i)/2 over all vertices."""
-    bits = graphs._parse_label(x, g.n)
+    bits = label_bits(x)
     m = np.eye(2**g.n, dtype=complex)
     for i, b in enumerate(bits, start=1):
         gi = generator(g, i).data
@@ -190,17 +194,11 @@ class TestGraphBasis:
 class TestCircuit:
     def test_empty_graph(self):
         g = GraphSpec(2, ())
-        assert np.allclose(graph_state_circuit(g), np.full(4, 0.5))
+        assert np.allclose(graph_basis_state(g, (0, 0)), np.full(4, 0.5))
 
     def test_single_edge_explicit(self):
-        v = graph_state_circuit(PATH2)
+        v = graph_basis_state(PATH2, (0, 0))
         assert np.allclose(v, np.array([1, 1, 1, -1]) / 2)
-
-    def test_circuit_equals_basis_zero_up_to_phase(self):
-        for g in (PATH2, cl4_graph()):
-            c = graph_state_circuit(g)
-            b = graph_basis_state(g, (0,) * g.n)
-            assert abs(abs(np.vdot(c, b)) - 1.0) <= 1e-12
 
 
 class TestGhz:
@@ -281,10 +279,18 @@ class TestGraphWitnessAndNetwork:
         rep = graphs.cl4_detect_exact(density(np.eye(16) / 16, (2,) * 4))
         assert rep.verdict == "not_detected"
 
+    def test_repeated_label_rejected(self):
+        g = cl4_graph()
+        for labels in (["0000", "0001", "0001"], ["0000", "0001", (0, 0, 0, 1)]):
+            with pytest.raises(ValueError, match="repeated graph label"):
+                graph_witness(g, labels)
+            with pytest.raises(ValueError, match="repeated graph label"):
+                graph_network(g, labels)
+
     def test_protocol_built_once_and_read_only(self):
         rho = random_state((2,) * 4, rng_seed=5)
         assert graphs.cl4_detect_exact(rho).to_dict() == graphs.cl4_detect_exact(rho).to_dict()
-        for build in (graphs._cl4_protocol, graphs._ghz_protocol):
+        for build in (graphs.cl4_protocol, graphs.ghz_protocol):
             assert build() is build()
             net, w, target = build()
             for arr in (net.data, w.mat.data, target):
@@ -344,9 +350,42 @@ class TestGraphMeasurementCircuit:
             assert abs(p0 - np.real(v0.conj() @ sigma.data @ v0)) <= 1e-12
 
 
-# --- reference copies of the per-family pairing loops and of the separate
+# --- reference copies of the per-family pairing loops, of the separate
 # n-party detect routine that tensor.mixture and protocol.detect_target
-# replaced; the old dense PSD check now serves as an oracle ---
+# replaced, and of the circuit-plus-Z-flip ket builder and per-label loops
+# that the graph-basis table replaced; the old dense PSD check now serves
+# as an oracle ---
+
+
+def old_graph_basis_state(g, x):
+    """|+>^n, a controlled-Z on every edge, then Z at every vertex with x_i = 1."""
+    t = np.full(2**g.n, 2.0 ** (-g.n / 2)).reshape((2,) * g.n)
+    for i, j in g.edges:
+        sl = [slice(None)] * g.n
+        sl[i - 1] = 1
+        sl[j - 1] = 1
+        t[tuple(sl)] *= -1.0
+    for i, b in enumerate(label_bits(x)):
+        if b:
+            sl = [slice(None)] * g.n
+            sl[i] = 1
+            t[tuple(sl)] *= -1.0
+    return t.reshape(-1)
+
+
+def old_graph_witness_matrix(g, labels):
+    m = np.zeros((2**g.n, 2**g.n), dtype=complex)
+    for x in labels:
+        v = old_graph_basis_state(g, x)
+        m += 0.5 * np.outer(v, v.conj())
+    v0 = old_graph_basis_state(g, (0,) * g.n)
+    m -= np.outer(v0, v0.conj())
+    return m
+
+
+def old_graph_network(g, labels):
+    kets = [old_graph_basis_state(g, x) for x in labels]
+    return graphs._uniform_pairing(kets, (2,) * (2 * g.n))
 
 
 def old_ghz_network_matrix():
@@ -364,7 +403,7 @@ def old_graph_network_matrix(g, labels):
     dim = 2**g.n
     m = np.zeros((dim * dim, dim * dim), dtype=complex)
     for x in labels:
-        v = graph_basis_state(g, x)
+        v = old_graph_basis_state(g, x)
         p = np.outer(v, v.conj())
         m += np.kron(p, p) / len(labels)
     return m
@@ -399,6 +438,24 @@ def old_detect_multi_exact(rho, net, w, target, eta=0.5, provenance=None):
 
 
 class TestAgainstOldCode:
+    @pytest.mark.parametrize("g", [GraphSpec(1, ()), PATH2, GraphSpec(3, ((1, 2), (1, 3))),
+                                   CYCLE5,
+                                   GraphSpec(6, ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (2, 5)))],
+                             ids=["n1", "n2", "n3", "n5", "n6"])
+    def test_kets_bit_identical(self, g):
+        # odd n exercises the rounded 2^{-n/2}
+        for bits in itertools.product((0, 1), repeat=g.n):
+            assert graph_basis_state(g, bits).tobytes() == old_graph_basis_state(g, bits).tobytes()
+
+    @pytest.mark.parametrize("g, labels", [
+        (cl4_graph(), CL4_LABELS),
+        (CYCLE5, ("00000", "00001", "00110", "01010", "10011", "10101", "11100", "11111")),
+    ], ids=["cl4", "cycle5"])
+    def test_witness_and_network_bit_identical(self, g, labels):
+        w = graph_witness(g, labels).mat.data
+        assert w.tobytes() == old_graph_witness_matrix(g, labels).tobytes()
+        assert graph_network(g, labels).data.tobytes() == old_graph_network(g, labels).data.tobytes()
+
     def test_networks_bit_identical(self):
         g = cl4_graph()
         pairs = [

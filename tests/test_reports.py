@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from netwitness import cli, protocol, tensor
 from netwitness.cli import FAMILIES, build_network, main
-from netwitness.reports import base_report, canonical_json, emit_report, to_csv
+from netwitness.reports import TOLERANCES, base_report, canonical_json, emit_report, to_csv
 from netwitness.states import random_state
 
 
@@ -118,3 +119,10 @@ class TestCsv:
         assert header == '"a","b.c","b.d","b.e"'
         assert row == 'false,7,null,"s"'
         assert '"c": 7' in canonical_json(report)
+
+
+def test_tolerance_echo_matches_applied_constants():
+    # the report echoes these three; the PPT and separable floors are not yet in step
+    assert TOLERANCES["structural"] == tensor.STRUCTURAL_TOL
+    assert TOLERANCES["reconstruction"] == cli.RECON_TOL
+    assert TOLERANCES["verdict_band"] == protocol.VERDICT_BAND
