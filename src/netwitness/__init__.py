@@ -12,12 +12,6 @@ from .tensor import (
     DensityOperator,
     Mat,
     density,
-    embed,
-    hermitian_eigen,
-    identity,
-    kron,
-    overlap,
-    partial_trace,
     partial_transpose,
 )
 from .witnesses import (
@@ -60,6 +54,5 @@ from .states import (
     bell_diagonal_state,
     find_choi_detected_ppt,
     isotropic_state,
-    random_separable,
     random_state,
 )

@@ -53,13 +53,6 @@ def flip_operator(d: int) -> Mat:
     return Mat(m, (d, d))
 
 
-def sym_antisym(d: int):
-    """Projectors onto the symmetric and antisymmetric subspaces, (S, A)."""
-    f = flip_operator(d).data
-    eye = np.eye(d * d)
-    return Mat((eye + f) / 2, (d, d)), Mat((eye - f) / 2, (d, d))
-
-
 def skew_unitary(d: int) -> np.ndarray:
     """Real unitary with U^T = -U, a direct sum of 2x2 blocks [[0,1],[-1,0]].
 
@@ -83,11 +76,3 @@ def twisted_flip(d: int) -> Mat:
     iu = np.kron(np.eye(d), u)
     return Mat(iu @ flip_operator(d).data @ iu.conj().T, (d, d))
 
-
-def weyl(d: int, s: int, t: int) -> np.ndarray:
-    """Shift-and-phase unitary X^s Z^t; (1 (x) weyl(d,s,t)) maps |phi_00> to |phi_st>."""
-    _check_index(d, s, t)
-    m = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        m[(j + s) % d, j] = np.exp(2j * np.pi * t * j / d)
-    return m

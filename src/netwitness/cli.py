@@ -346,7 +346,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OverflowError, MemoryError) as exc:
         parser.exit(2, f"error: {exc}\n")
 
 

@@ -20,8 +20,8 @@ from .tensor import (
     EIGEN_INPUT_TOL,
     DensityOperator,
     Mat,
+    _pt_source,
     density,
-    hermitian_eigen,
     mixture,
     partial_transpose,
 )
@@ -112,8 +112,7 @@ def decomposable_network(q: DensityOperator, lam: float | None = None,
     d = q.dims[0]
     wq = partial_transpose(q.mat, {1})
     if lam is None:
-        vals, _ = hermitian_eigen(wq)
-        lam = float(np.max(np.abs(vals)))
+        lam = float(np.max(np.abs(np.linalg.eigh(wq.data)[0])))
     if abs(lam * d * d - 1.0) < 1e-12:
         raise ValueError("Q^PT proportional to the identity: degenerate denominator")
     denom = d**3 * lam + d - 2
@@ -345,8 +344,6 @@ def ppt_report(state) -> dict:
     # bit, the partial transpose of the Hermitian part
     herm = _hermitize(mat.data)
     rows, cols = np.nonzero(herm)
-    digits = np.indices(mat.dims).reshape(4, side)
-    place = side // np.cumprod(mat.dims)
     report = {}
     # the 7 bipartitions = proper subsets containing site A2 (complements repeat spectra)
     for bits in range(7):
@@ -355,19 +352,14 @@ def ppt_report(state) -> dict:
         label = "".join(SITE_NAMES[i] for i in subset) + ":" + "".join(
             SITE_NAMES[i] for i in rest
         )
-        # s[i] is index i's part on the transposed sites; the partial transpose
-        # swaps that part between row and column, so that
-        # pt[i, j] = herm[i - s[i] + s[j], j - s[j] + s[i]]
-        s = place[subset] @ digits[subset]
         if side <= DENSE_EIGVALSH_MAX_SIDE:
             stacks = [np.arange(side)[None]]
         else:
-            stacks = _blocks(side, rows - s[rows] + s[cols], cols - s[cols] + s[rows])
+            stacks = _blocks(side, *_pt_source(mat.dims, subset, rows, cols))
         lowest = np.inf
         for idx in stacks:  # one stacked eigvalsh per block size
             i = idx[:, :, None]
-            j = i.transpose(0, 2, 1)
-            pt = herm[i - s[i] + s[j], j - s[j] + s[i]]
+            pt = herm[_pt_source(mat.dims, subset, i, i.transpose(0, 2, 1))]
             lowest = min(lowest, np.linalg.eigvalsh(pt)[:, 0].min())
         report[label] = float(lowest)
     return report

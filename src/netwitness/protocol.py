@@ -22,7 +22,7 @@ import numpy as np
 
 from . import bell
 from .networks import NetworkState
-from .tensor import DensityOperator, Mat, _indices, _read_only, density, overlap
+from .tensor import DensityOperator, Mat, _indices, _read_only, density
 
 MIN_SUCCESS_PROB = 1e-14
 VERDICT_BAND = 1e-9  # |fraction - eta| window where sign cross-checks are skipped
@@ -136,8 +136,7 @@ def filtering_channel(rho: DensityOperator, n: NetworkState):
 
 def singlet_fraction(sigma: DensityOperator) -> float:
     """<phi_00|sigma|phi_00> for a bipartite state."""
-    d = sigma.dims[0]
-    return float(np.real(overlap(bell.bell_ket(d, 0, 0), sigma.mat)))
+    return _readout(bell.bell_ket(sigma.dims[0], 0, 0), sigma.data)
 
 
 def bell_overlap_raw(rho: DensityOperator, n: NetworkState) -> float:

@@ -1,5 +1,5 @@
-"""Test states: isotropic and Bell-diagonal families, random (separable)
-states, and a desk-scale search for a PPT entangled qutrit state seen by the
+"""Test states: isotropic and Bell-diagonal families, seeded random states,
+and a desk-scale search for a PPT entangled qutrit state seen by the
 Bell-diagonal witness with weights (2/3, 1/3, 0).
 """
 
@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bell
-from .tensor import DensityOperator, Mat, _indices, density, partial_transpose
+from .tensor import DensityOperator, _indices, _pt_source, density
 from .witnesses import choi_witness
 
 PPT_EIG_FLOOR = -1e-12
@@ -39,32 +39,17 @@ def bell_diagonal_state(d: int, p) -> DensityOperator:
     return density(m, (d, d))
 
 
-def random_ket(dim: int, rng) -> np.ndarray:
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
-
-
 def random_state(dims, rng_seed: int, rank: int | None = None) -> DensityOperator:
     """Full-rank (by default) random mixed state from a Ginibre matrix."""
     dims = _indices(dims, "dims")
     dim = int(np.prod(dims))
+    rank = dim if rank is None else _indices((rank,), "rank")[0]
+    if rank < 1:
+        raise ValueError(f"rank must be >= 1, not {rank}")
     rng = np.random.default_rng(rng_seed)
-    rank = dim if rank is None else rank
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     m = g @ g.conj().T
     return density(m / np.trace(m), dims)
-
-
-def random_separable(d: int, terms: int, rng_seed: int) -> DensityOperator:
-    """Uniform mixture of random product pure states on d (x) d."""
-    if terms < 1:
-        raise ValueError("need at least one term")
-    rng = np.random.default_rng(rng_seed)
-    m = np.zeros((d * d, d * d), dtype=complex)
-    for _ in range(terms):
-        v = np.kron(random_ket(d, rng), random_ket(d, rng))
-        m += np.outer(v, v.conj()) / terms
-    return density(m, (d, d))
 
 
 @dataclass(frozen=True)
@@ -91,14 +76,6 @@ class ScanResult:
         return out
 
 
-def _pt_gather(dims) -> np.ndarray:
-    """Flat index map g with m.reshape(-1)[g] == partial_transpose(m, {1}).data:
-    a partial transpose only permutes entries."""
-    side = int(np.prod(dims))
-    flat = Mat(np.arange(side * side).reshape(side, side), dims)
-    return partial_transpose(flat, {1}).data.real.astype(np.intp)
-
-
 def find_choi_detected_ppt(grid_resolution: int = 40, rng_seed: int = 0) -> ScanResult:
     """Search Bell-diagonal qutrit states for PPT entanglement.
 
@@ -107,16 +84,18 @@ def find_choi_detected_ppt(grid_resolution: int = 40, rng_seed: int = 0) -> Scan
     (b - a)/3 in this slice. A simplex grid at the given resolution, scanned
     one row of fixed a at a time as stacked arrays, is followed by local
     step-halving refinement whose moves are evaluated in stacked calls too;
-    each partial transpose is a gather of its state's entries. The search
-    itself certifies the result: min eigenvalue of the partial transpose
-    >= -1e-12 and tr[W rho] <= -1e-4, or an explicit not-found outcome.
+    each partial transpose is a gather of its state's entries through
+    ``tensor._pt_source``. The search itself certifies the result: min
+    eigenvalue of the partial transpose >= -1e-12 and tr[W rho] <= -1e-4, or
+    an explicit not-found outcome.
     The search is deterministic; ``rng_seed`` is only echoed in the result.
     """
     if grid_resolution < 2:
         raise ValueError("resolution must be >= 2")
     wmat = choi_witness().mat.data
     projs = [bell.bell_projector(3, s, t).data for s in range(3) for t in range(3)]
-    gather = _pt_gather((3, 3))
+    idx = np.arange(9)
+    pt_rows, pt_cols = _pt_source((3, 3), {1}, idx[:, None], idx)
 
     def evaluate(a: np.ndarray, b: np.ndarray):
         """Weights, states, witness values and min partial-transpose
@@ -124,8 +103,9 @@ def find_choi_detected_ppt(grid_resolution: int = 40, rng_seed: int = 0) -> Scan
         c = 1.0 - a - b
         zero = np.zeros_like(a)
         w = np.stack([a, zero, zero, b / 3, b / 3, b / 3, c / 3, c / 3, c / 3], axis=1)
-        m = sum(w[:, i, None, None] * projs[i] for i in range(9))
-        pt = m.reshape(len(m), -1)[:, gather]
+        # the weights of P_01 and P_02 are exact zeros: their terms are left out
+        m = sum(w[:, i, None, None] * projs[i] for i in (0, 3, 4, 5, 6, 7, 8))
+        pt = m[:, pt_rows, pt_cols]
         wval = np.real(np.trace(wmat @ m, axis1=1, axis2=2))
         min_eig = np.linalg.eigvalsh((pt + pt.conj().transpose(0, 2, 1)) / 2)[:, 0]
         feasible = (min_eig >= PPT_EIG_FLOOR) & (wval <= WITNESS_CUTOFF)

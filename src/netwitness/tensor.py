@@ -1,9 +1,10 @@
 """Dense complex linear algebra on tensor-product spaces.
 
 Every operator carries an explicit list of tensor-factor dimensions, so
-partial traces, partial transposes and factor embeddings are unambiguous.
-Composite indices are row-major with the leftmost factor most significant;
-all transposes are taken in the computational basis.
+partial transposes are unambiguous; every partial transpose in the package
+indexes through the one map of ``_pt_source``. Composite indices are
+row-major with the leftmost factor most significant; all transposes are
+taken in the computational basis.
 """
 
 from __future__ import annotations
@@ -192,95 +193,41 @@ def mixture(terms, dims) -> DensityOperator:
     return state
 
 
-def identity(dims) -> Mat:
-    dims = _indices(dims, "dims")
-    return Mat(np.eye(int(np.prod(dims))), dims)
-
-
 def proj(ket, dims) -> Mat:
     """Rank-one projector |v><v|."""
     v = np.asarray(ket, dtype=complex).reshape(-1)
     return Mat(np.outer(v, v.conj()), dims)
 
 
-def kron(a: Mat, b: Mat) -> Mat:
-    """Kronecker product; dims concatenate, left factor most significant."""
-    return Mat(np.kron(a.data, b.data), a.dims + b.dims)
+@functools.cache
+def _pt_shift(dims: tuple, subset: frozenset) -> np.ndarray:
+    """Read-only s[i]: the part of composite index i on the factors in ``subset``."""
+    side = int(np.prod(dims))
+    digits = np.indices(dims).reshape(len(dims), side)
+    place = side // np.cumprod(dims)
+    factors = sorted(subset)
+    return _read_only(place[factors] @ digits[factors])
 
 
-def partial_trace(m: Mat, keep) -> Mat:
-    """Trace out every factor not listed in ``keep`` (order preserved)."""
-    keep = sorted(set(_indices(keep, "keep indices")))
-    n = len(m.dims)
-    if not keep:
-        raise ValueError("must keep at least one factor")
-    if keep[0] < 0 or keep[-1] >= n:
-        raise ValueError(f"keep indices {keep} out of range for {n} factors")
-    t = m.data.reshape(m.dims + m.dims)
-    row = list(range(n))
-    # traced factors share their row label; kept columns get fresh labels
-    col = [n + i if i in keep else i for i in range(n)]
-    out = keep + [n + i for i in keep]
-    res = np.einsum(t, row + col, out)
-    new_dims = tuple(m.dims[i] for i in keep)
-    side = int(np.prod(new_dims))
-    return Mat(res.reshape(side, side), new_dims)
+def _pt_source(dims, subset, rows, cols):
+    """Where entry [rows, cols] of a partial transpose sits in the matrix itself.
+
+    Transposing the factors in ``subset`` swaps their digits between row and
+    column index, so with s = _pt_shift(dims, subset)
+
+        pt[i, j] = m[i - s[i] + s[j], j - s[j] + s[i]].
+
+    ``rows`` and ``cols`` broadcast; ``subset`` holds valid factor indices.
+    """
+    s = _pt_shift(tuple(dims), frozenset(subset))
+    return rows - s[rows] + s[cols], cols - s[cols] + s[rows]
 
 
 def partial_transpose(m: Mat, subset) -> Mat:
     """Transpose the chosen factors' indices only (computational basis)."""
-    subset = set(_indices(subset, "subset"))
+    subset = frozenset(_indices(subset, "subset"))
     n = len(m.dims)
     if any(i < 0 or i >= n for i in subset):
         raise ValueError(f"subset {sorted(subset)} out of range for {n} factors")
-    t = m.data.reshape(m.dims + m.dims)
-    axes = list(range(2 * n))
-    for i in subset:
-        axes[i], axes[n + i] = axes[n + i], axes[i]
-    return Mat(t.transpose(axes).reshape(m.side, m.side), m.dims)
-
-
-def hermitian_eigen(m: Mat):
-    """Eigenvalues in ascending order and orthonormal eigenvector columns."""
-    if m.hermiticity_defect() > EIGEN_INPUT_TOL:
-        raise ValueError("matrix is not Hermitian within 1e-8")
-    return np.linalg.eigh(m.data)
-
-
-def embed(op: Mat, targets, full_dims) -> Mat:
-    """Place ``op`` on the listed factors of a larger space, identity elsewhere.
-
-    The result is a pure entry permutation of op (x) identity; no arithmetic
-    is performed beyond multiplying by exact zeros and ones.
-    """
-    targets = list(_indices(targets, "targets"))
-    full_dims = _indices(full_dims, "dims")
-    n = len(full_dims)
-    if len(set(targets)) != len(targets):
-        raise ValueError("target factors must be distinct")
-    if len(targets) != len(op.dims):
-        raise ValueError("target list length must match op factor count")
-    for pos, d in zip(targets, op.dims):
-        if pos < 0 or pos >= n or full_dims[pos] != d:
-            raise ValueError(
-                f"op dims {op.dims} do not fit full dims {full_dims} at {targets}"
-            )
-    rest = [i for i in range(n) if i not in targets]
-    order = targets + rest
-    big = op.data
-    if rest:
-        big = np.kron(big, np.eye(int(np.prod([full_dims[i] for i in rest]))))
-    order_dims = tuple(full_dims[i] for i in order)
-    t = big.reshape(order_dims + order_dims)
-    axes = [order.index(i) for i in range(n)]
-    t = t.transpose(axes + [a + n for a in axes])
-    side = int(np.prod(full_dims))
-    return Mat(t.reshape(side, side), full_dims)
-
-
-def overlap(ket, m: Mat) -> complex:
-    """<v|m|v> for a column vector v."""
-    v = np.asarray(ket, dtype=complex).reshape(-1)
-    if v.shape[0] != m.side:
-        raise ValueError("ket dimension does not match matrix side")
-    return complex(v.conj() @ m.data @ v)
+    idx = np.arange(m.side)
+    return Mat(m.data[_pt_source(m.dims, subset, idx[:, None], idx)], m.dims)

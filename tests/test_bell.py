@@ -98,28 +98,24 @@ class TestFlip:
             assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
     def test_sym_antisym_traces(self):
-        s2, a2 = bell.sym_antisym(2)
-        assert np.isclose(np.trace(a2.data), 1.0)
-        assert np.isclose(np.trace(s2.data), 3.0)
-        for d in (3, 4):
-            s, a = bell.sym_antisym(d)
-            assert np.isclose(np.trace(a.data), d * (d - 1) / 2)
-            assert np.isclose(np.trace(s.data), d * (d + 1) / 2)
+        # tr F = d: the symmetric and antisymmetric projectors (1 +/- F)/2
+        # have traces d(d+1)/2 and d(d-1)/2
+        for d in (2, 3, 4):
+            assert np.trace(bell.flip_operator(d).data) == d
 
     def test_projectors_orthogonal_and_complete(self):
-        s, a = bell.sym_antisym(3)
-        assert np.max(np.abs(s.data @ a.data)) <= 1e-12
-        assert np.allclose(s.data + a.data, np.eye(9))
+        f = bell.flip_operator(3).data
+        s, a = (np.eye(9) + f) / 2, (np.eye(9) - f) / 2
+        assert np.max(np.abs(s @ a)) <= 1e-12
+        assert np.allclose(s + a, np.eye(9))
 
     def test_eigen_split_matches_projectors(self):
-        d = 3
-        f = bell.flip_operator(d)
-        s, a = bell.sym_antisym(d)
-        vals, vecs = np.linalg.eigh(f.data)
+        f = bell.flip_operator(3).data
+        vals, vecs = np.linalg.eigh(f)
         minus = vecs[:, vals < 0]
         plus = vecs[:, vals > 0]
-        assert np.allclose(minus @ minus.conj().T, a.data, atol=1e-10)
-        assert np.allclose(plus @ plus.conj().T, s.data, atol=1e-10)
+        assert np.allclose(minus @ minus.conj().T, (np.eye(9) - f) / 2, atol=1e-10)
+        assert np.allclose(plus @ plus.conj().T, (np.eye(9) + f) / 2, atol=1e-10)
 
 
 class TestSkewUnitary:
@@ -154,16 +150,3 @@ class TestSkewUnitary:
             assert np.isclose(np.trace(fp.data), d)
             assert np.max(np.abs(fp.data - fp.data.T)) <= 1e-12
 
-
-class TestWeyl:
-    def test_maps_phi00_to_phi_st(self):
-        d = 3
-        phi00 = bell.bell_ket(d, 0, 0)
-        for s in range(d):
-            for t in range(d):
-                lifted = np.kron(np.eye(d), bell.weyl(d, s, t)) @ phi00
-                assert np.max(np.abs(lifted - bell.bell_ket(d, s, t))) <= 1e-12
-
-    def test_unitary(self):
-        w = bell.weyl(5, 2, 3)
-        assert np.allclose(w @ w.conj().T, np.eye(5), atol=1e-12)

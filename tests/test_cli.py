@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from netwitness import networks
 from netwitness.cli import FAMILIES, build_network, build_witness, main, ppt_expectations
 from netwitness.networks import ppt_report
 from netwitness.reports import canonical_json, to_csv
@@ -107,6 +108,22 @@ class TestProtocolRun:
         err = usage_error(["protocol", "run", "--family", "two-qubit",
                            "--state-file", str(tmp_path)], capsys)
         assert err.startswith("error: ")
+
+
+class TestOversizedD:
+    def test_overflowing_d_is_usage_error(self, capsys):
+        # the (1/d,) * d lambda tuple overflows before any array is allocated
+        err = usage_error(["witness", "build", "--family", "reduction", "--d", str(10**20)],
+                          capsys)
+        assert err.startswith("error: cannot fit 'int' into an index-sized integer")
+
+    def test_out_of_memory_is_usage_error(self, capsys, monkeypatch):
+        def unaffordable(d):
+            raise MemoryError(f"Unable to allocate the d = {d} network state")
+
+        monkeypatch.setattr(networks, "flip_network", unaffordable)
+        err = usage_error(["protocol", "run", "--family", "flip", "--state", "phi-plus"], capsys)
+        assert err == "error: Unable to allocate the d = 2 network state\n"
 
 
 class TestProtocolShots:

@@ -26,9 +26,7 @@ from netwitness.tensor import (
     DensityOperator,
     Mat,
     density,
-    kron,
     mixture,
-    partial_trace,
     partial_transpose,
     proj,
 )
@@ -139,11 +137,11 @@ class TestDecomposableNetwork:
         # mixture of normalized antisymmetric/symmetric projectors
         d = 3
         net = flip_network(d)
-        s, a = bell.sym_antisym(d)
+        f = bell.flip_operator(d).data
+        s, a = (np.eye(9) + f) / 2, (np.eye(9) - f) / 2
         p00 = bell.bell_projector(d, 0, 0).data
-        first = np.kron(a.data / np.trace(a.data).real, p00)
-        second = np.kron(s.data / np.trace(s.data).real,
-                         (np.eye(9) - p00) / 8)
+        first = np.kron(a / np.trace(a).real, p00)
+        second = np.kron(s / np.trace(s).real, (np.eye(9) - p00) / 8)
         expect = first / (d + 2) + second * (d + 1) / (d + 2)
         assert np.max(np.abs(net.state.data - expect)) <= 1e-12
         assert np.isclose(net.recon_constant, 2 / (d * (d + 2)), rtol=1e-12)
@@ -219,7 +217,7 @@ class TestReconstructWitness:
         d = 2
         sigma = random_state((d, d), rng_seed=23)
         p00 = bell.bell_projector(d, 0, 0)
-        raw = kron(sigma.mat, p00)
+        raw = Mat(np.kron(sigma.data, p00.data), (d,) * 4)
         eta = 1 - 1e-3
         out = reconstruct_witness(raw, eta)
         assert np.max(np.abs(out.data - (eta - 1) * sigma.data)) <= 1e-12
@@ -443,8 +441,10 @@ def old_reconstruct(mat, eta):
     d2, d3 = mat.dims[0] * mat.dims[1], mat.dims[2] * mat.dims[3]
     p00 = bell.bell_projector(mat.dims[2], 0, 0).data
     meas = np.kron(np.eye(d2), eta * np.eye(d3) - p00)
-    out = partial_trace(Mat(mat.data @ meas, mat.dims), keep=(0, 1))
-    return Mat((out.data + out.data.conj().T) / 2, out.dims)
+    # trace out A3B3
+    out = np.einsum((mat.data @ meas).reshape(mat.dims * 2), [0, 1, 2, 3, 4, 5, 2, 3],
+                    [0, 1, 4, 5]).reshape(d2, d2)
+    return Mat((out + out.conj().T) / 2, mat.dims[:2])
 
 
 def assert_same_bits(got, expect):

@@ -28,7 +28,7 @@ from netwitness.protocol import (
     wilson_interval,
 )
 from netwitness.states import bell_diagonal_state, isotropic_state, random_state
-from netwitness.tensor import density, kron
+from netwitness.tensor import density
 from netwitness.witnesses import two_qubit_pt_witness
 
 
@@ -57,8 +57,7 @@ class TestFilteringChannel:
         from netwitness.networks import NetworkState
         from netwitness.tensor import Mat
 
-        raw = kron(sigma.mat, tau.mat)
-        net = NetworkState(density(raw.data, (d, d, d, d)), 0.5, 1.0, "product",
+        net = NetworkState(density(np.kron(sigma.data, tau.data), (d, d, d, d)), 0.5, 1.0, "product",
                            Mat(np.diag([1.0, -1.0, 1.0, 1.0]), (d, d)))
         for seed in (3, 4):
             rho = random_state((d, d), rng_seed=seed)
@@ -75,9 +74,8 @@ class TestFilteringChannel:
         from netwitness.networks import NetworkState
         from netwitness.tensor import Mat
 
-        p = bell.bell_projector(2, 0, 0)
-        raw = kron(p, p)
-        net = NetworkState(density(raw.data, (2, 2, 2, 2)), 0.5, 1.0, "pure",
+        p = bell.bell_projector(2, 0, 0).data
+        net = NetworkState(density(np.kron(p, p), (2, 2, 2, 2)), 0.5, 1.0, "pure",
                            Mat(np.diag([1.0, -1.0, 1.0, 1.0]), (2, 2)))
         with pytest.raises(ValueError, match="vanishes"):
             filtering_channel(PSI_MINUS, net)
@@ -218,6 +216,36 @@ class TestDetectExact:
             assert rep.verdict == expect
 
 
+def weyl(d: int, s: int, t: int) -> np.ndarray:
+    """Shift-and-phase unitary X^s Z^t with (1 (x) weyl(d, s, t)) |phi_00> = |phi_st>."""
+    m = np.zeros((d, d), dtype=complex)
+    for j in range(d):
+        m[(j + s) % d, j] = np.exp(2j * np.pi * t * j / d)
+    return m
+
+
+def embed(op: np.ndarray, targets, dims) -> np.ndarray:
+    """op on the listed factors of a space with factor ``dims``, identity on
+    the rest: the joint-space oracle."""
+    n = len(dims)
+    rest = [i for i in range(n) if i not in targets]
+    big = np.kron(op, np.eye(int(np.prod([dims[i] for i in rest]))))
+    order = list(targets) + rest
+    axes = [order.index(i) for i in range(n)]
+    t = big.reshape(tuple(dims[i] for i in order) * 2)
+    return t.transpose(axes + [a + n for a in axes]).reshape(big.shape)
+
+
+def partial_trace(m: np.ndarray, dims, keep) -> np.ndarray:
+    """Trace out every factor not in the sorted ``keep``: the joint-space oracle."""
+    n = len(dims)
+    col = [n + i if i in keep else i for i in range(n)]
+    out = np.einsum(m.reshape(tuple(dims) * 2), list(range(n)) + col,
+                    list(keep) + [n + i for i in keep])
+    side = int(np.prod([dims[i] for i in keep]))
+    return out.reshape(side, side)
+
+
 def loop_bell_outcome_distribution(rho, net):
     """Reference: one Kronecker-product Weyl conjugation per outcome."""
     d = net.d
@@ -225,7 +253,7 @@ def loop_bell_outcome_distribution(rho, net):
     n2 = np.trace(net.state.data.reshape(d2, d2, d2, d2), axis1=1, axis2=3)
     p = np.empty((d, d, d, d))
     for s, t, u, v in np.ndindex(d, d, d, d):
-        w = np.kron(bell.weyl(d, s, t), bell.weyl(d, u, v))
+        w = np.kron(weyl(d, s, t), weyl(d, u, v))
         p[s, t, u, v] = np.real(np.trace(rho.data.T @ w.conj().T @ n2 @ w)) / d2
     return p
 
@@ -296,11 +324,14 @@ class TestBellOutcomeDistribution:
         again = _weyl_tables(d)
         assert again[0] is shift and again[1] is phase
         assert not shift.flags.writeable and not phase.flags.writeable
+        for s, t in np.ndindex(d, d):  # the oracle lifts |phi_00> to |phi_st>
+            lifted = np.kron(np.eye(d), weyl(d, s, t)) @ bell.bell_ket(d, 0, 0)
+            assert np.max(np.abs(lifted - bell.bell_ket(d, s, t))) <= 1e-12
         # W_st (x) W_uv has one nonzero per column i: row shift[(s,u), i],
         # value phase[(t,v), i]
         cols = np.arange(d * d)
         for s, t, u, v in np.ndindex(d, d, d, d):
-            w = np.kron(bell.weyl(d, s, t), bell.weyl(d, u, v))
+            w = np.kron(weyl(d, s, t), weyl(d, u, v))
             assert np.count_nonzero(w) == d * d
             assert np.allclose(w[shift[s * d + u], cols], phase[t * d + v],
                                atol=1e-15)
@@ -319,16 +350,14 @@ class TestBellOutcomeDistribution:
         net = two_qubit_network()
         rho = random_state((2, 2), rng_seed=11)
         joint = np.kron(rho.data, net.state.data)
-        from netwitness.tensor import Mat, embed
-
         p = bell_outcome_distribution(rho, net)
         for s in range(2):
             for t in range(2):
                 for u in range(2):
                     for v in range(2):
-                        pa = embed(bell.bell_projector(2, s, t), [0, 2], (2,) * 6)
-                        pb = embed(bell.bell_projector(2, u, v), [1, 3], (2,) * 6)
-                        val = np.real(np.trace(joint @ pa.data @ pb.data))
+                        pa = embed(bell.bell_projector(2, s, t).data, [0, 2], (2,) * 6)
+                        pb = embed(bell.bell_projector(2, u, v).data, [1, 3], (2,) * 6)
+                        val = np.real(np.trace(joint @ pa @ pb))
                         assert abs(p[s, t, u, v] - val) <= 1e-12
 
 
@@ -416,12 +445,9 @@ def test_teleport_contraction_matches_dense_computation():
     # oracle: tr_12[(rho (x) N) P] assembled in the full 64-dim space
     net = two_qubit_network()
     rho = random_state((2, 2), rng_seed=33)
-    from netwitness.tensor import Mat, embed, partial_trace
-
-    joint = Mat(np.kron(rho.data, net.state.data), (2,) * 6)
-    pa = embed(bell.bell_projector(2, 0, 0), [0, 2], (2,) * 6)
-    pb = embed(bell.bell_projector(2, 0, 0), [1, 3], (2,) * 6)
-    product = Mat(joint.data @ pa.data @ pb.data, (2,) * 6)
-    m = partial_trace(product, keep=(4, 5))
+    joint = np.kron(rho.data, net.state.data)
+    pa = embed(bell.bell_projector(2, 0, 0).data, [0, 2], (2,) * 6)
+    pb = embed(bell.bell_projector(2, 0, 0).data, [1, 3], (2,) * 6)
+    m = partial_trace(joint @ pa @ pb, (2,) * 6, keep=(4, 5))
     k = teleport_contraction(rho.data, net.state.data, 4, 4)
-    assert np.max(np.abs(m.data - k / 4)) <= 1e-12
+    assert np.max(np.abs(m - k / 4)) <= 1e-12

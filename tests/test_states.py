@@ -11,14 +11,12 @@ from netwitness.states import (
     PPT_EIG_FLOOR,
     WITNESS_CUTOFF,
     ScanResult,
-    _pt_gather,
     bell_diagonal_state,
     find_choi_detected_ppt,
     isotropic_state,
-    random_separable,
     random_state,
 )
-from netwitness.tensor import density, partial_transpose
+from netwitness.tensor import _pt_source, density, partial_transpose
 from netwitness.witnesses import choi_witness, reduction_witness
 
 
@@ -97,6 +95,31 @@ class TestRandomStates:
     def test_non_integer_dims_rejected(self, dims):
         with pytest.raises(ValueError, match="dims must be integers"):
             random_state(dims, rng_seed=0)
+
+    @pytest.mark.parametrize("rank", [0, -1])
+    def test_rank_below_one_rejected(self, rank):
+        with pytest.raises(ValueError, match="rank must be >= 1"):
+            random_state((2, 2), rng_seed=0, rank=rank)
+
+    def test_non_integer_rank_rejected(self):
+        with pytest.raises(ValueError, match="rank must be integers"):
+            random_state((2, 2), rng_seed=0, rank=2.5)
+
+    def test_numpy_integer_rank_accepted(self):
+        a = random_state((2, 2), rng_seed=3, rank=np.int64(2))
+        assert a.data.tobytes() == random_state((2, 2), rng_seed=3, rank=2).data.tobytes()
+
+
+def random_separable(d: int, terms: int, rng_seed: int):
+    """Uniform mixture of random product pure states on d (x) d: the
+    separable-state oracle for the witness-positivity checks."""
+    rng = np.random.default_rng(rng_seed)
+    m = np.zeros((d * d, d * d), dtype=complex)
+    for _ in range(terms):
+        a, b = (rng.standard_normal(d) + 1j * rng.standard_normal(d) for _ in range(2))
+        v = np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b))
+        m += np.outer(v, v.conj()) / terms
+    return density(m, (d, d))
 
 
 class TestRandomSeparable:
@@ -223,9 +246,12 @@ class TestChoiScanMatchesLoop:
     @pytest.mark.parametrize("s", range(3))
     @pytest.mark.parametrize("t", range(3))
     def test_pt_gather_is_partial_transpose(self, s, t):
-        pm = bell.bell_projector(3, s, t)
-        gathered = pm.data.reshape(-1)[_pt_gather((3, 3))]
-        assert gathered.tobytes() == partial_transpose(pm, {1}).data.tobytes()
+        # the scan's stacked gather against an axes swap of the reshaped P_st
+        pm = bell.bell_projector(3, s, t).data
+        idx = np.arange(9)
+        rows, cols = _pt_source((3, 3), {1}, idx[:, None], idx)
+        swapped = pm.reshape(3, 3, 3, 3).transpose(0, 3, 2, 1).reshape(9, 9)
+        assert pm[None][:, rows, cols].tobytes() == swapped.tobytes()
 
     def test_memory_stays_one_row(self):
         tracemalloc.start()

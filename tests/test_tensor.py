@@ -1,22 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from netwitness.tensor import (
-    Mat,
-    density,
-    embed,
-    hermitian_eigen,
-    identity,
-    kron,
-    overlap,
-    partial_trace,
-    partial_transpose,
-    proj,
-)
-
-X = np.array([[0, 1], [1, 0]], dtype=complex)
-Z = np.diag([1.0, -1.0]).astype(complex)
+from netwitness.tensor import Mat, _pt_shift, _pt_source, density, partial_transpose, proj
 
 
 def random_mat(dims, seed, hermitian=False):
@@ -28,42 +16,15 @@ def random_mat(dims, seed, hermitian=False):
     return Mat(m, dims)
 
 
-def brute_partial_trace(m: Mat, keep):
-    """Direct summation over traced indices; the independent oracle."""
-    keep = sorted(keep)
-    dims = m.dims
-    n = len(dims)
-    traced = [i for i in range(n) if i not in keep]
-    out_dims = [dims[i] for i in keep]
-    side = int(np.prod(out_dims))
-    out = np.zeros((side, side), dtype=complex)
-
-    def unpack(flat, which):
-        idx = []
-        for d in reversed([dims[i] for i in which]):
-            idx.append(flat % d)
-            flat //= d
-        return list(reversed(idx))
-
-    for r in range(side):
-        for c in range(side):
-            ridx, cidx = unpack(r, keep), unpack(c, keep)
-            total = 0.0
-            for tflat in range(int(np.prod([dims[i] for i in traced])) if traced else 1):
-                tidx = unpack(tflat, traced)
-                full_r = [0] * n
-                full_c = [0] * n
-                for pos, i in enumerate(keep):
-                    full_r[i], full_c[i] = ridx[pos], cidx[pos]
-                for pos, i in enumerate(traced):
-                    full_r[i] = full_c[i] = tidx[pos]
-                fr = fc = 0
-                for i in range(n):
-                    fr = fr * dims[i] + full_r[i]
-                    fc = fc * dims[i] + full_c[i]
-                total += m.data[fr, fc]
-            out[r, c] = total
-    return out
+def axes_swap_pt(m: np.ndarray, dims, subset) -> np.ndarray:
+    """Partial transpose of the (stacked) matrices m by swapping each chosen
+    factor's row and column axis of the reshaped tensor: the independent oracle."""
+    n, lead = len(dims), m.ndim - 2
+    axes = list(range(2 * n))
+    for i in subset:
+        axes[i], axes[n + i] = axes[n + i], axes[i]
+    t = m.reshape(m.shape[:lead] + tuple(dims) * 2)
+    return t.transpose(list(range(lead)) + [a + lead for a in axes]).reshape(m.shape)
 
 
 class TestMat:
@@ -84,13 +45,13 @@ class TestMat:
         assert np.array_equal(back.data, m.data)
 
     def test_data_read_only(self):
-        m = identity((2,))
+        m = Mat(np.eye(2), (2,))
         with pytest.raises(ValueError):
             m.data[0, 0] = 5.0
 
     @pytest.mark.parametrize("key", ["dims", "re", "im"])
     def test_from_dict_missing_key(self, key):
-        obj = identity((2,)).to_dict()
+        obj = Mat(np.eye(2), (2,)).to_dict()
         del obj[key]
         with pytest.raises(ValueError, match=f"missing key.*{key}"):
             Mat.from_dict(obj)
@@ -124,62 +85,6 @@ class TestMat:
         assert np.isnan(Mat(m, dims).hermiticity_defect())
 
 
-class TestKron:
-    def test_identity_case(self):
-        out = kron(identity((2,)), identity((2,)))
-        assert out.dims == (2, 2)
-        assert np.array_equal(out.data, np.eye(4))
-
-    def test_z_times_x_hand_values(self):
-        out = kron(Mat(Z, (2,)), Mat(X, (2,)))
-        assert out.data[0, 1] == 1
-        assert out.data[2, 3] == -1
-        assert out.data[1, 0] == 1
-        assert out.data[3, 2] == -1
-
-    @given(st.integers(0, 2**31 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_trace_multiplicative(self, seed):
-        a = random_mat((3,), seed)
-        b = random_mat((3,), seed + 1)
-        assert np.isclose(kron(a, b).trace(), a.trace() * b.trace(), atol=1e-12)
-
-
-class TestPartialTrace:
-    def test_bell_marginal(self):
-        phi = np.array([1, 0, 0, 1]) / np.sqrt(2)
-        out = partial_trace(proj(phi, (2, 2)), keep={0})
-        assert np.allclose(out.data, np.eye(2) / 2, atol=1e-12)
-
-    def test_product_factorization(self):
-        a = random_mat((2,), 11)
-        b = random_mat((2,), 12)
-        left = partial_trace(kron(a, b), keep={0})
-        assert np.allclose(left.data, a.data * b.trace(), atol=1e-12)
-        right = partial_trace(kron(a, b), keep={1})
-        assert np.allclose(right.data, b.data * a.trace(), atol=1e-12)
-
-    def test_against_brute_force(self):
-        rng = np.random.default_rng(7)
-        g = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
-        m = Mat(g @ g.conj().T, (2, 3, 2))
-        for keep in ({0}, {1}, {2}, {0, 2}, {1, 2}, {0, 1}):
-            got = partial_trace(m, keep)
-            want = brute_partial_trace(m, keep)
-            assert np.max(np.abs(got.data - want)) <= 1e-12
-
-    @given(st.integers(0, 2**31 - 1))
-    @settings(max_examples=20, deadline=None)
-    def test_trace_preserved(self, seed):
-        m = random_mat((2, 3, 2), seed, hermitian=True)
-        out = partial_trace(m, keep={1})
-        assert np.isclose(out.trace(), m.trace(), atol=1e-12)
-
-    def test_empty_keep_rejected(self):
-        with pytest.raises(ValueError, match="at least one factor"):
-            partial_trace(identity((2, 2)), keep=set())
-
-
 class TestPartialTranspose:
     def test_p00_gives_half_swap(self):
         phi = np.array([1, 0, 0, 1]) / np.sqrt(2)
@@ -190,7 +95,7 @@ class TestPartialTranspose:
     def test_product_case(self):
         a = random_mat((2,), 21)
         b = random_mat((2,), 22)
-        out = partial_transpose(kron(a, b), {1})
+        out = partial_transpose(Mat(np.kron(a.data, b.data), (2, 2)), {1})
         assert np.array_equal(out.data, np.kron(a.data, b.data.T))
 
     def test_psi_minus_min_eigenvalue(self):
@@ -209,95 +114,33 @@ class TestPartialTranspose:
         assert pt.hermiticity_defect() == 0.0
 
 
-class TestHermitianEigen:
-    def test_diagonal_case(self):
-        vals, _ = hermitian_eigen(Mat(np.diag([3.0, 1.0, 2.0]), (3,)))
-        assert np.allclose(vals, [1, 2, 3])
+class TestPartialTransposeMap:
+    """The one partial-transpose index map, shared by ``partial_transpose``,
+    ``networks.ppt_report`` and the Choi scan."""
 
-    def test_swap_spectrum_d3(self):
-        # antisymmetric subspace has dimension d(d-1)/2 = 3 at d = 3
-        swap = np.zeros((9, 9))
-        for i in range(3):
-            for j in range(3):
-                swap[i * 3 + j, j * 3 + i] = 1
-        vals, _ = hermitian_eigen(Mat(swap, (3, 3)))
-        assert np.allclose(vals[:3], -1, atol=1e-12)
-        assert np.allclose(vals[3:], 1, atol=1e-12)
+    @pytest.mark.parametrize("subset", [c for r in range(5)
+                                        for c in itertools.combinations(range(4), r)],
+                             ids=lambda c: "-".join(map(str, c)) or "none")
+    def test_matches_axes_swap_on_every_subset(self, subset):
+        dims = (2, 3, 2, 3)
+        m = random_mat(dims, seed=sum(2**i for i in subset)).data
+        idx = np.arange(36)
+        want = axes_swap_pt(m, dims, subset).tobytes()
+        assert m[_pt_source(dims, subset, idx[:, None], idx)].tobytes() == want
+        assert partial_transpose(Mat(m, dims), subset).data.tobytes() == want
 
-    def test_spectral_reconstruction(self):
-        m = random_mat((4, 4), seed=5, hermitian=True)
-        vals, vecs = hermitian_eigen(m)
-        rebuilt = (vecs * vals) @ vecs.conj().T
-        assert np.max(np.abs(rebuilt - m.data)) <= 1e-9 * np.linalg.norm(m.data)
+    def test_matches_axes_swap_on_a_stack(self):
+        # the scan's use: one (9, 9) index pair gathers a whole (n, 9, 9) stack
+        rng = np.random.default_rng(3)
+        m = rng.standard_normal((7, 9, 9)) + 1j * rng.standard_normal((7, 9, 9))
+        idx = np.arange(9)
+        rows, cols = _pt_source((3, 3), {1}, idx[:, None], idx)
+        assert m[:, rows, cols].tobytes() == axes_swap_pt(m, (3, 3), {1}).tobytes()
 
-    def test_residuals_at_side_729(self):
-        m = random_mat((3,) * 6, seed=9, hermitian=True)
-        vals, vecs = hermitian_eigen(m)
-        norm = np.linalg.norm(m.data, 2)
-        resid = np.max(np.abs(m.data @ vecs - vecs * vals))
-        assert resid <= 1e-9 * norm
-        gram = vecs.conj().T @ vecs
-        assert np.max(np.abs(gram - np.eye(729))) <= 1e-10
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            hermitian_eigen(Mat(np.array([[0, 1], [0, 0]], dtype=complex), (2,)))
-
-
-class TestEmbed:
-    def test_single_site(self):
-        out = embed(Mat(X, (2,)), [1], (2, 2))
-        assert np.array_equal(out.data, np.kron(np.eye(2), X))
-
-    def test_nonadjacent_placement_then_trace(self):
-        phi = np.array([1, 0, 0, 1]) / np.sqrt(2)
-        big = embed(proj(phi, (2, 2)), [0, 2], (2, 2, 2))
-        # tracing out the embedded pair leaves tr(P00) * identity on the middle site
-        out = partial_trace(big, keep={1})
-        assert np.allclose(out.data, np.eye(2), atol=1e-12)
-
-    def test_reversed_targets_swap_factors(self):
-        m = random_mat((2, 3), seed=31)
-        fwd = embed(m, [0, 1], (2, 3))
-        assert np.array_equal(fwd.data, m.data)
-        rev = embed(Mat(m.data.reshape(2, 3, 2, 3).transpose(1, 0, 3, 2).reshape(6, 6), (3, 2)),
-                    [1, 0], (2, 3))
-        assert np.array_equal(rev.data, m.data)
-
-    def test_homomorphism_on_shared_targets(self):
-        a = random_mat((2,), 41)
-        b = random_mat((2,), 42)
-        ab = Mat(a.data @ b.data, (2,))
-        lhs = embed(ab, [1], (2, 2, 2))
-        rhs = Mat(embed(a, [1], (2, 2, 2)).data @ embed(b, [1], (2, 2, 2)).data, (2, 2, 2))
-        assert np.allclose(lhs.data, rhs.data, atol=1e-12)
-
-    def test_disjoint_embeds_commute_exactly(self):
-        a = embed(random_mat((2,), 51), [0], (2, 2, 2)).data
-        b = embed(random_mat((2,), 52), [2], (2, 2, 2)).data
-        assert np.array_equal(a @ b, b @ a)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            embed(Mat(X, (2,)), [0], (3, 2))
-
-
-class TestOverlap:
-    def test_values(self):
-        phi = np.array([1, 0, 0, 1]) / np.sqrt(2)
-        assert np.isclose(overlap(phi, Mat(np.eye(4) / 4, (2, 2))), 0.25)
-        assert np.isclose(overlap(phi, proj(phi, (2, 2))), 1.0)
-
-    def test_real_for_hermitian(self):
-        m = random_mat((2, 2), seed=61, hermitian=True)
-        rng = np.random.default_rng(62)
-        v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-        v /= np.linalg.norm(v)
-        assert abs(overlap(v, m).imag) <= 1e-12
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            overlap(np.ones(3), identity((2, 2)))
+    def test_shift_cached_and_read_only(self):
+        s = _pt_shift((2, 3, 2, 3), frozenset({1, 3}))
+        assert _pt_shift((2, 3, 2, 3), frozenset({3, 1})) is s
+        assert not s.flags.writeable
 
 
 class TestDensityOperator:
@@ -328,34 +171,15 @@ class TestDensityOperator:
 
 
 class TestNonIntegerArguments:
-    """Factor indices and dims go through operator.index: a float is an error,
-    never truncated to the factor it rounds down to."""
-
-    @pytest.mark.parametrize("dims", [[2.9], [2, 2.0], ["2"]])
-    def test_identity(self, dims):
-        with pytest.raises(ValueError, match="integers"):
-            identity(dims)
+    """Factor indices go through operator.index: a float is an error, never
+    truncated to the factor it rounds down to."""
 
     @pytest.mark.parametrize("subset", [[1.7], [0, 1.0]])
     def test_partial_transpose(self, subset):
         with pytest.raises(ValueError, match="integers"):
             partial_transpose(random_mat((2, 2), 0), subset)
 
-    @pytest.mark.parametrize("keep", [[0.9], [1.0]])
-    def test_partial_trace(self, keep):
-        with pytest.raises(ValueError, match="integers"):
-            partial_trace(random_mat((2, 2), 0), keep)
-
-    @pytest.mark.parametrize("targets,full_dims", [([0.5], [2, 2]), ([0], [2, 2.7]),
-                                                   ([0.5], [2, 2.7])])
-    def test_embed(self, targets, full_dims):
-        with pytest.raises(ValueError, match="integers"):
-            embed(Mat(X, (2,)), targets, full_dims)
-
     def test_numpy_integers_still_accepted(self):
         m = random_mat((2, 3), 1)
-        assert identity((np.int64(2),)).dims == (2,)
-        assert partial_trace(m, [np.int32(1)]).dims == (3,)
         assert np.array_equal(partial_transpose(m, {np.int64(0)}).data,
                               partial_transpose(m, {0}).data)
-        assert embed(Mat(X, (2,)), [np.int64(1)], (np.int64(3), 2)).dims == (3, 2)

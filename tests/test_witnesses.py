@@ -3,7 +3,7 @@ import pytest
 
 from netwitness import bell
 from netwitness.networks import pbd_network
-from netwitness.states import random_separable, random_state
+from netwitness.states import random_state
 from netwitness.tensor import Mat, density, partial_transpose
 from netwitness.witnesses import (
     Witness,
@@ -226,10 +226,14 @@ class TestBreuerHall:
         assert np.linalg.eigvalsh(w.mat.data)[0] < -1e-6
 
     def test_nonnegative_on_separable_samples(self):
+        # tr[W sigma] is linear in sigma, so the pure product states, the
+        # extreme points of the separable set, are the samples to check
         w = breuer_hall_witness(4)
-        for seed in range(30):
-            sigma = random_separable(4, terms=6, rng_seed=seed)
-            assert w.expectation(sigma) >= -1e-10
+        rng = np.random.default_rng(0)
+        for _ in range(180):
+            a, b = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+            v = np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b))
+            assert w.expectation(density(np.outer(v, v.conj()), (4, 4))) >= -1e-10
 
 
 class TestWitnessValidation:
