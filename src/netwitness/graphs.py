@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import protocol
-from .tensor import DensityOperator, Mat, _indices, _read_only, mixture
+from .tensor import DensityOperator, Mat, _index, _indices, _read_only, mixture
 from .witnesses import Witness
 
 
@@ -35,7 +35,7 @@ class GraphSpec:
     edges: tuple
 
     def __post_init__(self):
-        (n,) = _indices((self.n,), "n")
+        n = _index(self.n, "n")
         edges = tuple(_indices(e, "edge vertices") for e in self.edges)
         seen = set()
         for i, j in edges:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import bell
 from .networks import NetworkState
-from .tensor import DensityOperator, Mat, _indices, _read_only, density
+from .tensor import DensityOperator, Mat, _index, _read_only, density
 
 MIN_SUCCESS_PROB = 1e-14
 VERDICT_BAND = 1e-9  # |fraction - eta| window where sign cross-checks are skipped
@@ -298,7 +298,7 @@ def detect_shots(rho: DensityOperator, n: NetworkState, *, shots: int = 10000,
     the sample only from a bit-identical distribution: numpy's multinomial
     draws binomials that branch at p = 1/2, so one ulp can move every count.
     """
-    (shots,) = _indices((shots,), "shots")
+    shots = _index(shots, "shots")
     if not 1 <= shots <= MAX_SHOTS:
         raise ValueError(f"shots must lie in [1, {MAX_SHOTS}], not {shots}")
     exact, k, trk = _detect(rho, n, provenance)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bell
-from .tensor import DensityOperator, _indices, _pt_source, density
+from .tensor import DensityOperator, _index, _indices, _pt_source, density
 from .witnesses import choi_witness
 
 PPT_EIG_FLOOR = -1e-12
@@ -43,7 +43,7 @@ def random_state(dims, rng_seed: int, rank: int | None = None) -> DensityOperato
     """Full-rank (by default) random mixed state from a Ginibre matrix."""
     dims = _indices(dims, "dims")
     dim = int(np.prod(dims))
-    rank = dim if rank is None else _indices((rank,), "rank")[0]
+    rank = dim if rank is None else _index(rank, "rank")
     if rank < 1:
         raise ValueError(f"rank must be >= 1, not {rank}")
     rng = np.random.default_rng(rng_seed)
@@ -76,18 +76,69 @@ class ScanResult:
         return out
 
 
+def _screen(a, b):
+    """Witness values, min partial-transpose eigenvalues and the certificate
+    mask at the slice points (a, b), in closed form (see
+    ``find_choi_detected_ppt``); a and b broadcast."""
+    c = 1.0 - a - b
+    wval = (b - a) / 3
+    min_eig = np.minimum(a / 3, (b + c - np.hypot(b - c, 2 * a)) / 6)
+    return wval, min_eig, (min_eig >= PPT_EIG_FLOOR) & (wval <= WITNESS_CUTOFF)
+
+
+def _refine(a: float, b: float, h: float) -> tuple[float, float]:
+    """The point where step-halving pattern search, from the feasible slice
+    point (a, b) with first step h, stops lowering the screened witness value."""
+    wval = _screen(a, b)[0]
+    for _ in range(12):
+        improved = False
+        moves = ((h, 0), (-h, 0), (0, h), (0, -h), (h, -h), (-h, h))
+        # one stacked screen for the moves still to try; after an accepted
+        # move the rest start from the new point, as a one-by-one sweep does
+        while moves:
+            ca = np.array([a + da for da, _ in moves])
+            cb = np.array([b + db for _, db in moves])
+            inside = np.flatnonzero((ca >= 0) & (cb >= 0) & (ca + cb <= 1))
+            cand, _, feasible = _screen(ca[inside], cb[inside])
+            better = np.flatnonzero(feasible & (cand < wval))
+            if not better.size:
+                break
+            k = better[0]
+            wval, a, b = cand[k], float(ca[inside[k]]), float(cb[inside[k]])
+            moves = moves[inside[k] + 1:]
+            improved = True
+        if not improved:
+            h /= 2
+    return a, b
+
+
 def find_choi_detected_ppt(grid_resolution: int = 40, rng_seed: int = 0) -> ScanResult:
     """Search Bell-diagonal qutrit states for PPT entanglement.
 
     States are parametrized by the weight a on P_00 and uniform row weights
-    b, c = 1 - a - b on the s = 1 and s = 2 Bell rows; the witness value is
-    (b - a)/3 in this slice. A simplex grid at the given resolution, scanned
-    one row of fixed a at a time as stacked arrays, is followed by local
-    step-halving refinement whose moves are evaluated in stacked calls too;
-    each partial transpose is a gather of its state's entries through
-    ``tensor._pt_source``. The search itself certifies the result: min
-    eigenvalue of the partial transpose >= -1e-12 and tr[W rho] <= -1e-4, or
-    an explicit not-found outcome.
+    b, c = 1 - a - b on the s = 1 and s = 2 Bell rows:
+    m = a P_00 + (b/3) D_1 + (c/3) D_2 with D_s = sum_t P_st, the Horodecki
+    qutrit family. D_s is the diagonal projector onto the |k, k+s>, so it is
+    its own partial transpose, and P_00's is F/3 with F the flip; hence
+    m^PT = (a F + b D_1 + c D_2)/3. It leaves the |k, k> and the pairs
+    {|k, k+1>, |k+1, k>} invariant: three 1x1 blocks a/3 and three 2x2
+    blocks [[b, a], [a, c]]/3, so min eig m^PT = min(a/3,
+    ((b + c) - hypot(b - c, 2a))/6). The witness value tr[W m] is (b - a)/3.
+
+    ``_screen`` evaluates both closed forms on a simplex grid of step
+    1/resolution, a block of rows at a time, so memory does not grow with
+    the grid. Grid points with equal j - i (a = i step, b = j step) have
+    equal witness values in exact arithmetic, and those of the least
+    feasible j - i are the ties: the winner is the first of them in grid
+    order with the least witness value by the matrix route, tr[W m] with
+    m = sum_st p_st P_st, as a point-by-point scan would pick it.
+    ``_refine`` then lowers the screened witness value by step-halving
+    moves, none of which ties with another (each moves b - a by at least
+    the step). The result's p, state and witness value are built by the
+    matrix route, and its min_pt_eig is a dense eigvalsh of the state's
+    partial transpose (gathered through ``tensor._pt_source``), an
+    independent certificate: >= -1e-12 and tr[W rho] <= -1e-4, or an
+    explicit not-found outcome.
     The search is deterministic; ``rng_seed`` is only echoed in the result.
     """
     if grid_resolution < 2:
@@ -99,7 +150,7 @@ def find_choi_detected_ppt(grid_resolution: int = 40, rng_seed: int = 0) -> Scan
 
     def evaluate(a: np.ndarray, b: np.ndarray):
         """Weights, states, witness values and min partial-transpose
-        eigenvalues at the slice points (a[k], b[k])."""
+        eigenvalues at the slice points (a[k], b[k]), by the matrix route."""
         c = 1.0 - a - b
         zero = np.zeros_like(a)
         w = np.stack([a, zero, zero, b / 3, b / 3, b / 3, c / 3, c / 3, c / 3], axis=1)
@@ -108,52 +159,38 @@ def find_choi_detected_ppt(grid_resolution: int = 40, rng_seed: int = 0) -> Scan
         pt = m[:, pt_rows, pt_cols]
         wval = np.real(np.trace(wmat @ m, axis1=1, axis2=2))
         min_eig = np.linalg.eigvalsh((pt + pt.conj().transpose(0, 2, 1)) / 2)[:, 0]
-        feasible = (min_eig >= PPT_EIG_FLOOR) & (wval <= WITNESS_CUTOFF)
-        return w.reshape(-1, 3, 3), m, wval, min_eig, feasible
+        return w.reshape(-1, 3, 3), m, wval, min_eig
 
-    best = None  # (wval, a, b, payload)
-    step = 1.0 / grid_resolution
-    for i in range(grid_resolution + 1):
-        a = i * step
-        b = np.arange(grid_resolution + 1 - i) * step
-        b = b[a + b <= 1]
-        p, m, wval, min_eig, feasible = evaluate(np.full(b.size, a), b)
-        # the first feasible point of the row with the least witness value
-        k = int(np.argmin(np.where(feasible, wval, np.inf)))
-        if feasible[k] and (best is None or wval[k] < best[0]):
-            best = (float(wval[k]), a, float(b[k]), (p[k], m[k], float(min_eig[k])))
-    # step-halving pattern refinement around the incumbent
-    if best is not None:
-        wval, a, b, payload = best
-        h = step
-        for _ in range(12):
-            improved = False
-            moves = ((h, 0), (-h, 0), (0, h), (0, -h), (h, -h), (-h, h))
-            # one stacked call for the moves still to try; after an accepted
-            # move the rest start from the new point, as a one-by-one sweep does
-            while moves:
-                ca = np.array([a + da for da, _ in moves])
-                cb = np.array([b + db for _, db in moves])
-                inside = np.flatnonzero((ca >= 0) & (cb >= 0) & (ca + cb <= 1))
-                p, m, cand, min_eig, feasible = evaluate(ca[inside], cb[inside])
-                better = np.flatnonzero(feasible & (cand < wval))
-                if not better.size:
-                    break
-                k = better[0]
-                wval, payload = float(cand[k]), (p[k], m[k], float(min_eig[k]))
-                a, b = float(ca[inside[k]]), float(cb[inside[k]])
-                moves = moves[inside[k] + 1:]
-                improved = True
-            if not improved:
-                h /= 2
-        p, m, min_eig = payload
-        return ScanResult(
-            found=True,
-            rho=density(m, (3, 3)),
-            p=p,
-            witness_value=wval,
-            min_pt_eig=min_eig,
-            resolution=grid_resolution,
-            rng_seed=rng_seed,
-        )
-    return ScanResult(False, None, None, None, None, grid_resolution, rng_seed)
+    n = grid_resolution
+    step = 1.0 / n
+    j = np.arange(n + 1)
+    rows = max(1, 2**14 // (n + 1))  # a block of about 2**14 grid points
+    # ties: the rows i whose point (i, i + level) is feasible, for the least
+    # feasible j - i met so far; j - i <= n, so n + 1 marks a point that is
+    # off the simplex or infeasible
+    level, ties = n, []
+    for i0 in range(0, n + 1, rows):
+        i = np.arange(i0, min(i0 + rows, n + 1))[:, None]
+        a, b = i * step, j * step
+        feasible = _screen(a, b)[2] & (j <= n - i) & (a + b <= 1)
+        diff = np.where(feasible, j - i, n + 1)
+        low = diff.min()
+        if low < level:
+            level, ties = low, []
+        if low == level:
+            ties.extend(i0 + np.nonzero(diff == low)[0])
+    if not ties:
+        return ScanResult(False, None, None, None, None, grid_resolution, rng_seed)
+    ties = np.array(ties)
+    k = int(np.argmin(evaluate(ties * step, (ties + level) * step)[2]))
+    a, b = _refine(float(ties[k] * step), float((ties[k] + level) * step), step)
+    p, m, wval, min_eig = evaluate(np.array([a]), np.array([b]))
+    return ScanResult(
+        found=True,
+        rho=density(m[0], (3, 3)),
+        p=p[0],
+        witness_value=float(wval[0]),
+        min_pt_eig=float(min_eig[0]),
+        resolution=grid_resolution,
+        rng_seed=rng_seed,
+    )

@@ -21,6 +21,14 @@ STRUCTURAL_TOL = 1e-10
 EIGEN_INPUT_TOL = 1e-8
 
 
+def _index(value, what) -> int:
+    """The integer ``value``; a float such as 2.9 is rejected, not truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, not {value!r}") from None
+
+
 def _indices(values, what) -> tuple:
     """Integer tuple of ``values``; a float such as 2.9 is rejected, not truncated."""
     try:

@@ -394,7 +394,7 @@ class TestDetectShots:
             detect_shots(MIXED2, two_qubit_network(), shots=0, rng_seed=0)
 
     def test_non_integer_shot_count_rejected(self):
-        with pytest.raises(ValueError, match="shots must be integers"):
+        with pytest.raises(ValueError, match=r"^shots must be an integer, not 2\.5$"):
             detect_shots(MIXED2, two_qubit_network(), shots=2.5, rng_seed=0)
         rep = detect_shots(MIXED2, two_qubit_network(), shots=np.int64(5), rng_seed=0)
         assert rep.shots.n_total == 5

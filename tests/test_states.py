@@ -11,6 +11,8 @@ from netwitness.states import (
     PPT_EIG_FLOOR,
     WITNESS_CUTOFF,
     ScanResult,
+    _refine,
+    _screen,
     bell_diagonal_state,
     find_choi_detected_ppt,
     isotropic_state,
@@ -102,7 +104,7 @@ class TestRandomStates:
             random_state((2, 2), rng_seed=0, rank=rank)
 
     def test_non_integer_rank_rejected(self):
-        with pytest.raises(ValueError, match="rank must be integers"):
+        with pytest.raises(ValueError, match=r"^rank must be an integer, not 2\.5$"):
             random_state((2, 2), rng_seed=0, rank=2.5)
 
     def test_numpy_integer_rank_accepted(self):
@@ -179,57 +181,83 @@ class TestChoiScan:
             assert np.array_equal(a.p, b.p)
 
 
+_PROJS = [bell.bell_projector(3, s, t) for s in range(3) for t in range(3)]
+_PTS = [partial_transpose(pm, {1}).data for pm in _PROJS]
+_WMAT = choi_witness().mat.data
+
+
+def _loop_point(a, b):
+    """Weights, state, witness value and min partial-transpose eigenvalue at
+    the slice point (a, b), built one matrix at a time; None outside."""
+    if a < 0 or b < 0 or a + b > 1:
+        return None
+    c = 1.0 - a - b
+    p = np.array([[a, 0, 0], [b / 3, b / 3, b / 3], [c / 3, c / 3, c / 3]])
+    m = sum(p.reshape(-1)[i] * _PROJS[i].data for i in range(9))
+    pt = sum(p.reshape(-1)[i] * _PTS[i] for i in range(9))
+    wval = float(np.real(np.trace(_WMAT @ m)))
+    min_eig = float(np.linalg.eigvalsh((pt + pt.conj().T) / 2)[0])
+    return p, m, wval, min_eig
+
+
+def _loop_feasible(wval, min_eig):
+    return min_eig >= PPT_EIG_FLOOR and wval <= WITNESS_CUTOFF
+
+
+def _loop_refine(a, b, h):
+    """Step-halving refinement one move at a time, each move judged by
+    ``_loop_point``: the end point and the most moves accepted in one sweep."""
+    wval, most = _loop_point(a, b)[2], 0
+    for _ in range(12):
+        accepted = 0
+        for da, db in ((h, 0), (-h, 0), (0, h), (0, -h), (h, -h), (-h, h)):
+            res = _loop_point(a + da, b + db)
+            if res is not None and _loop_feasible(*res[2:]) and res[2] < wval:
+                wval, a, b = res[2], a + da, b + db
+                accepted += 1
+        most = max(most, accepted)
+        if not accepted:
+            h /= 2
+    return a, b, most
+
+
 def _loop_scan(grid_resolution: int, rng_seed: int = 0) -> ScanResult:
     """The scan as one Python iteration per grid point, the reference the
-    row-batched ``find_choi_detected_ppt`` must reproduce bit for bit."""
-    wmat = choi_witness().mat.data
-    projs = [bell.bell_projector(3, s, t) for s in range(3) for t in range(3)]
-    pts = [partial_transpose(pm, {1}).data for pm in projs]
-    projs = [pm.data for pm in projs]
-
-    def evaluate(a, b):
-        if a < 0 or b < 0 or a + b > 1:
-            return None
-        c = 1.0 - a - b
-        p = np.array([[a, 0, 0], [b / 3, b / 3, b / 3], [c / 3, c / 3, c / 3]])
-        m = sum(p.reshape(-1)[i] * projs[i] for i in range(9))
-        pt = sum(p.reshape(-1)[i] * pts[i] for i in range(9))
-        wval = float(np.real(np.trace(wmat @ m)))
-        min_eig = float(np.linalg.eigvalsh((pt + pt.conj().T) / 2)[0])
-        return p, m, wval, min_eig
-
-    def feasible(wval, min_eig):
-        return min_eig >= PPT_EIG_FLOOR and wval <= WITNESS_CUTOFF
-
+    screened ``find_choi_detected_ppt`` must reproduce bit for bit."""
     best = None
     step = 1.0 / grid_resolution
     for i in range(grid_resolution + 1):
         for j in range(grid_resolution + 1 - i):
             a, b = i * step, j * step
-            res = evaluate(a, b)
+            res = _loop_point(a, b)
             if res is None:
                 continue
-            p, m, wval, min_eig = res
-            if feasible(wval, min_eig) and (best is None or wval < best[0]):
-                best = (wval, a, b, (p, m, min_eig))
+            wval, min_eig = res[2:]
+            if _loop_feasible(wval, min_eig) and (best is None or wval < best[0]):
+                best = (wval, a, b)
     if best is None:
         return ScanResult(False, None, None, None, None, grid_resolution, rng_seed)
-    wval, a, b, payload = best
-    h = step
-    for _ in range(12):
-        improved = False
-        for da, db in ((h, 0), (-h, 0), (0, h), (0, -h), (h, -h), (-h, h)):
-            res = evaluate(a + da, b + db)
-            if res is None:
-                continue
-            p, m, cand_wval, min_eig = res
-            if feasible(cand_wval, min_eig) and cand_wval < wval:
-                wval, a, b, payload = cand_wval, a + da, b + db, (p, m, min_eig)
-                improved = True
-        if not improved:
-            h /= 2
-    p, m, min_eig = payload
+    a, b, _ = _loop_refine(best[1], best[2], step)
+    p, m, wval, min_eig = _loop_point(a, b)
     return ScanResult(True, density(m, (3, 3)), p, wval, min_eig, grid_resolution, rng_seed)
+
+
+def _grid(n):
+    """The scan's slice points at resolution n, in grid order."""
+    step = 1.0 / n
+    pts = [(i * step, j * step) for i in range(n + 1) for j in range(n + 1 - i)]
+    return np.array([pt for pt in pts if pt[0] + pt[1] <= 1]).T
+
+
+def _dense_route(a, b):
+    """Witness values and min partial-transpose eigenvalues at the slice
+    points (a[k], b[k]) from dense 9x9 matrices: the screen's oracle."""
+    c = 1.0 - a - b
+    w = np.stack([a, 0 * a, 0 * a] + [b / 3] * 3 + [c / 3] * 3, axis=-1)
+    pt = (w @ np.reshape(_PTS, (9, 81))).reshape(-1, 9, 9)
+    # tr[W m] = sum_i w_i tr[W P_i]
+    wval = w @ np.array([np.trace(_WMAT @ pm.data).real for pm in _PROJS])
+    return wval, np.linalg.eigvalsh(pt)[:, 0]
 
 
 class TestChoiScanMatchesLoop:
@@ -243,6 +271,37 @@ class TestChoiScanMatchesLoop:
             assert fast.p.tobytes() == ref.p.tobytes()
             assert (fast.witness_value, fast.min_pt_eig) == (ref.witness_value, ref.min_pt_eig)
 
+    @pytest.mark.parametrize("start", [(0.2, 0.15, 0.01), (0.1, 0.05, 0.01), (0.2, 0.15, 0.05)])
+    def test_refine_matches_one_move_at_a_time(self, start):
+        # interior starts, where one sweep accepts two or more moves: after an
+        # accepted move the stacked sweep must try only the later moves
+        a, b, most = _loop_refine(*start)
+        assert most >= 2
+        assert _refine(*start) == (a, b)
+
+    @pytest.mark.parametrize("resolution", [10, 40])
+    def test_screen_min_eig_matches_dense_on_grid(self, resolution):
+        a, b = _grid(resolution)
+        _, min_eig, _ = _screen(a, b)
+        assert np.max(np.abs(min_eig - _dense_route(a, b)[1])) <= 1e-15
+
+    def test_screen_min_eig_matches_dense_on_boundary(self):
+        # b c = a^2 (a 2x2 block is singular), a = 0 and c = 0, exactly
+        x = np.linspace(0.0, 1.0, 41)
+        a = np.concatenate([x / (1 + x + x * x), 0 * x, x / 2])
+        b = np.concatenate([x * x / (1 + x + x * x), x, 1 - x / 2])
+        wval, min_eig, _ = _screen(a, b)
+        dense_wval, dense_eig = _dense_route(a, b)
+        assert np.max(np.abs(min_eig - dense_eig)) <= 1e-15
+        assert np.max(np.abs(wval - dense_wval)) <= 1e-15
+
+    def test_screen_mask_matches_dense_on_grid(self):
+        for resolution in range(2, 121):
+            a, b = _grid(resolution)
+            wval, min_eig = _dense_route(a, b)
+            dense = (min_eig >= PPT_EIG_FLOOR) & (wval <= WITNESS_CUTOFF)
+            assert np.array_equal(_screen(a, b)[2], dense), resolution
+
     @pytest.mark.parametrize("s", range(3))
     @pytest.mark.parametrize("t", range(3))
     def test_pt_gather_is_partial_transpose(self, s, t):
@@ -253,12 +312,17 @@ class TestChoiScanMatchesLoop:
         swapped = pm.reshape(3, 3, 3, 3).transpose(0, 3, 2, 1).reshape(9, 9)
         assert pm[None][:, rows, cols].tobytes() == swapped.tobytes()
 
-    def test_memory_stays_one_row(self):
+    @pytest.mark.parametrize("resolution", [80, 1000])
+    def test_memory_stays_one_block(self, resolution):
         tracemalloc.start()
         try:
-            find_choi_detected_ppt(80)
+            result = find_choi_detected_ppt(resolution)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one row is at most 81 9x9 complex matrices; the whole grid would need ~20 MB
+        assert result.found
+        # the grid is screened by closed forms in blocks of about 2**14 points,
+        # and 9x9 matrices are built only for the ties and the winner, so the
+        # bound holds at any resolution (a 9x9 stack per grid row takes 8 MB
+        # at resolution 1000, one over the whole resolution-80 grid ~20 MB)
         assert peak < 2e6
