@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import protocol
-from .tensor import DensityOperator, Mat, _index, _indices, _read_only, mixture
+from .tensor import DensityOperator, Mat, _index, _indices, _read_only, pairing
 from .witnesses import Witness
 
 
@@ -100,15 +100,10 @@ def graph_witness(g: GraphSpec, labels) -> Witness:
     return _table_witness(g, _graph_kets(g, labels))
 
 
-def _uniform_pairing(kets, dims) -> DensityOperator:
-    """(1/|S|) sum over the kets |v> of |v><v| (x) |v><v| across layers 2 and 3."""
-    projectors = [np.outer(v, v.conj()) for v in kets]
-    return mixture(((1 / len(projectors), p, p) for p in projectors), dims)
-
-
 def graph_network(g: GraphSpec, labels) -> DensityOperator:
     """Uniform pairing of graph-basis projectors across layers 2 and 3."""
-    return _uniform_pairing(_graph_kets(g, labels), (2,) * (2 * g.n))
+    kets = _graph_kets(g, labels)
+    return pairing(((1 / len(kets), v) for v in kets), (2,) * (2 * g.n))
 
 
 def ghz_ket(a: int = 0, b: int = 0, c: int = 0) -> np.ndarray:
@@ -136,8 +131,8 @@ def ghz_witness() -> Witness:
 
 def ghz_network() -> DensityOperator:
     """Uniform pairing of the eight GHZ-family projectors across two layers."""
-    kets = [ghz_ket(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
-    return _uniform_pairing(kets, (2,) * 6)
+    kets = (ghz_ket(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1))
+    return pairing(((1 / 8, v) for v in kets), (2,) * 6)
 
 
 # <target|K|target> for an n-qubit layer; the unscaled contraction value
@@ -165,7 +160,8 @@ def cl4_protocol():
     all from one ket table; its first row is the all-zeros label's."""
     g = cl4_graph()
     kets = _read_only(_graph_kets(g, CL4_LABELS))
-    return _uniform_pairing(kets, (2,) * 8), _table_witness(g, kets), kets[0]
+    net = pairing(((1 / len(kets), v) for v in kets), (2,) * 8)
+    return net, _table_witness(g, kets), kets[0]
 
 
 def ghz_detect_exact(rho: DensityOperator, provenance: dict | None = None):

@@ -2,8 +2,9 @@
 
 A network state N is a four-factor state, separable across A2B2:A3B3 as
 certified per term (``tensor.mixture`` builds every family below as a convex
-sum of products across that cut), such that contracting the A3B3 pair against
-(eta*1 - P_00) returns a positive multiple of the transposed witness:
+sum of products across that cut, the paired ones through ``tensor.pairing``),
+such that contracting the A3B3 pair against (eta*1 - P_00) returns a
+positive multiple of the transposed witness:
 
     tr_3[N (eta*1 - P_00)_3] = recon_constant * W^T.
 """
@@ -22,7 +23,9 @@ from .tensor import (
     Mat,
     _pt_source,
     density,
+    hermitian_part,
     mixture,
+    pairing,
     partial_transpose,
 )
 from .witnesses import (Witness, _bell_diagonal_matrix, _breuer_hall_paired, check_lambda_vec,
@@ -74,10 +77,6 @@ class DecompositionTerm:
     pi: Mat
 
 
-def _hermitize(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().T) / 2
-
-
 def two_qubit_network() -> NetworkState:
     """Mixture of |psi-><psi-| (x) |phi+><phi+| with its orthogonal complement.
 
@@ -120,8 +119,8 @@ def decomposable_network(q: DensityOperator, lam: float | None = None,
     c2 = (d - 1) * (d * d * lam + 1) / denom
     wqt = wq.data.T
     eye = np.eye(d * d)
-    first = _hermitize((lam * eye - wqt) / (lam * d * d - 1))
-    second = _hermitize((lam * eye + wqt) / (lam * d * d + 1))
+    first = hermitian_part((lam * eye - wqt) / (lam * d * d - 1))
+    second = hermitian_part((lam * eye + wqt) / (lam * d * d + 1))
     p00 = bell.bell_projector(d, 0, 0).data
     return NetworkState(
         state=mixture([(c1, first, p00), (c2, second, (eye - p00) / (d * d - 1))], (d,) * 4),
@@ -148,10 +147,10 @@ def pbd_network(lam, family: str = "pbd") -> NetworkState:
     d = len(lam)
     if lam[0] == 0.0:
         raise ValueError("threshold eta would be 0; witness not realizable this way")
-    pairs = ((lam[s] / d, bell.bell_projector(d, s, t).data)
+    pairs = ((lam[s] / d, bell.bell_ket(d, s, t))
              for s in range(d) if lam[s] != 0.0 for t in range(d))
     return NetworkState(
-        state=mixture(((c, p, p) for c, p in pairs), (d,) * 4),
+        state=pairing(pairs, (d,) * 4),
         eta=lam[0],
         recon_constant=lam[0] / d,
         family=family,
@@ -191,8 +190,8 @@ def bh_network(d: int) -> NetworkState:
     fp = bell.twisted_flip(d).data
     p00 = bell.bell_projector(d, 0, 0).data
     eye = np.eye(d * d)
-    projectors = (bell.bell_projector(d, s, t).data for s in range(d) for t in range(d))
-    paired = mixture(((1 / (d * d), p, p) for p in projectors), (d,) * 4)
+    paired = pairing(((1 / (d * d), bell.bell_ket(d, s, t)) for s in range(d) for t in range(d)),
+                     (d,) * 4)
     return NetworkState(
         state=mixture([
             (float(c0), paired),
@@ -225,7 +224,7 @@ def solve_decomposition(w: Witness, eta: float):
         raise ValueError("eta must lie in [1/d, 1)")
     phi = bell.bell_ket(d, 0, 0)
     wt = w.mat.data.T
-    vals, vecs = np.linalg.eigh(_hermitize(wt))
+    vals, vecs = np.linalg.eigh(hermitian_part(wt))
     p00 = bell.bell_projector(d, 0, 0)
     rest = Mat((np.eye(d * d) - p00.data) / (d * d - 1), (d, d))
     terms = []
@@ -236,7 +235,7 @@ def solve_decomposition(w: Witness, eta: float):
             continue
         block = (vecs[:, mask] * vals[mask]) @ vecs[:, mask].conj().T
         a = float(np.real(np.trace(block)))  # signed weight
-        wn = Mat(_hermitize(block / a), w.mat.dims)
+        wn = Mat(hermitian_part(block / a), w.mat.dims)
         overlap_phi = float(np.real(phi.conj() @ pi.data @ phi))
         gap = eta - overlap_phi
         if a * gap <= 0:
@@ -281,7 +280,7 @@ def reconstruct_witness(n, eta: float | None = None) -> Mat:
         raise ValueError("A3 and B3 factors must have equal dimension")
     p00 = bell.bell_projector(mat.dims[2], 0, 0).data
     out = np.einsum("axby,yx->ab", mat.data.reshape(d2, d3, d2, d3), eta * np.eye(d3) - p00)
-    return Mat(_hermitize(out), mat.dims[:2])
+    return Mat(hermitian_part(out), mat.dims[:2])
 
 
 # Side up to which ppt_report takes each partial transpose whole, as one
@@ -342,7 +341,7 @@ def ppt_report(state) -> dict:
     side = mat.side
     # the Hermitian part of a partial transpose is, entry for entry and bit for
     # bit, the partial transpose of the Hermitian part
-    herm = _hermitize(mat.data)
+    herm = hermitian_part(mat.data)
     rows, cols = np.nonzero(herm)
     report = {}
     # the 7 bipartitions = proper subsets containing site A2 (complements repeat spectra)

@@ -16,7 +16,7 @@ operator is never materialized.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -44,14 +44,7 @@ class ShotStats:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "n_total": self.n_total,
-            "n_postselected": self.n_postselected,
-            "estimate": self.estimate,
-            "ci_low": self.ci_low,
-            "ci_high": self.ci_high,
-            "seed": self.seed,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -76,17 +69,9 @@ class DetectionReport:
     provenance: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        out = {
-            "success_prob": self.success_prob,
-            "singlet_fraction": self.singlet_fraction,
-            "eta": self.eta,
-            "verdict": self.verdict,
-            "witness_expectation": self.witness_expectation,
-            "raw_overlap": self.raw_overlap,
-            "raw_threshold": self.raw_threshold,
-            "provenance": dict(self.provenance),
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
         out["shots"] = self.shots.to_dict() if self.shots is not None else None
+        out["provenance"] = dict(self.provenance)
         return out
 
 

@@ -1,6 +1,6 @@
-"""Test states: isotropic and Bell-diagonal families, seeded random states,
-and a desk-scale search for a PPT entangled qutrit state seen by the
-Bell-diagonal witness with weights (2/3, 1/3, 0).
+"""Test states: the isotropic family, seeded random states, and a desk-scale
+search for a PPT entangled qutrit state seen by the Bell-diagonal witness
+with weights (2/3, 1/3, 0).
 """
 
 from __future__ import annotations
@@ -10,8 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bell
-from .tensor import DensityOperator, _index, _indices, _pt_source, density
-from .witnesses import choi_witness
+from .tensor import DensityOperator, _index, _indices, _pt_source, density, hermitian_part
+from .witnesses import _bell_diagonal_matrix
 
 PPT_EIG_FLOOR = -1e-12
 WITNESS_CUTOFF = -1e-4
@@ -23,19 +23,6 @@ def isotropic_state(d: int, fidelity: float) -> DensityOperator:
         raise ValueError("fidelity must lie in [0, 1]")
     p00 = bell.bell_projector(d, 0, 0).data
     m = fidelity * p00 + (1 - fidelity) * (np.eye(d * d) - p00) / (d * d - 1)
-    return density(m, (d, d))
-
-
-def bell_diagonal_state(d: int, p) -> DensityOperator:
-    """Mixture sum_st p[s,t] P_st of generalized Bell projectors."""
-    p = np.asarray(p, dtype=float).reshape(d, d)
-    if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
-        raise ValueError("p must be a probability vector over the d^2 Bell labels")
-    m = np.zeros((d * d, d * d), dtype=complex)
-    for s in range(d):
-        for t in range(d):
-            if p[s, t]:
-                m += p[s, t] * bell.bell_projector(d, s, t).data
     return density(m, (d, d))
 
 
@@ -141,9 +128,10 @@ def find_choi_detected_ppt(grid_resolution: int = 40, rng_seed: int = 0) -> Scan
     explicit not-found outcome.
     The search is deterministic; ``rng_seed`` is only echoed in the result.
     """
+    grid_resolution = _index(grid_resolution, "resolution")
     if grid_resolution < 2:
         raise ValueError("resolution must be >= 2")
-    wmat = choi_witness().mat.data
+    wmat = _bell_diagonal_matrix((2 / 3, 1 / 3, 0.0)).data  # the Choi witness's matrix
     projs = [bell.bell_projector(3, s, t).data for s in range(3) for t in range(3)]
     idx = np.arange(9)
     pt_rows, pt_cols = _pt_source((3, 3), {1}, idx[:, None], idx)
@@ -158,7 +146,7 @@ def find_choi_detected_ppt(grid_resolution: int = 40, rng_seed: int = 0) -> Scan
         m = sum(w[:, i, None, None] * projs[i] for i in (0, 3, 4, 5, 6, 7, 8))
         pt = m[:, pt_rows, pt_cols]
         wval = np.real(np.trace(wmat @ m, axis1=1, axis2=2))
-        min_eig = np.linalg.eigvalsh((pt + pt.conj().transpose(0, 2, 1)) / 2)[:, 0]
+        min_eig = np.linalg.eigvalsh(hermitian_part(pt))[:, 0]
         return w.reshape(-1, 3, 3), m, wval, min_eig
 
     n = grid_resolution

@@ -201,6 +201,18 @@ def mixture(terms, dims) -> DensityOperator:
     return state
 
 
+def pairing(terms, dims) -> DensityOperator:
+    """The paired state sum_x c_x |v_x><v_x| (x) |v_x><v_x| of (c, ket) terms,
+    built and certified by ``mixture`` in the given order."""
+    projectors = ((c, np.outer(v, np.conj(v))) for c, v in terms)
+    return mixture(((c, p, p) for c, p in projectors), dims)
+
+
+def hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(M + M^dag) / 2 of a matrix, or of each matrix in a stack."""
+    return (m + m.conj().swapaxes(-1, -2)) / 2
+
+
 def proj(ket, dims) -> Mat:
     """Rank-one projector |v><v|."""
     v = np.asarray(ket, dtype=complex).reshape(-1)

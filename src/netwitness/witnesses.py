@@ -8,7 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bell
-from .tensor import STRUCTURAL_TOL, DensityOperator, Mat, partial_transpose
+from .tensor import (STRUCTURAL_TOL, DensityOperator, Mat, _index, hermitian_part,
+                     partial_transpose)
 
 # A witness must dip below zero somewhere to detect anything.
 NEGATIVITY_TOL = 1e-12
@@ -164,6 +165,7 @@ def cyclic_inequality_check(lam, trials: int = 10000, rng_seed: int = 0) -> Cycl
     """
     lam = check_lambda_vec(lam)
     d = len(lam)
+    trials = _index(trials, "trials")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(rng_seed)
@@ -199,6 +201,7 @@ def sep_floor_estimate(w, restarts: int = 64, iters: int = 200, rng_seed: int = 
     restarts; deterministic for a given seed. Values below -1e-6 flag a
     non-witness.
     """
+    restarts, iters = _index(restarts, "restarts"), _index(iters, "iters")
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     if iters < 1:
@@ -223,9 +226,9 @@ def sep_floor_estimate(w, restarts: int = 64, iters: int = 200, rng_seed: int = 
     prev = np.full(restarts, np.inf)
     for _ in range(iters):
         mb = (_outer(b) @ t_b).reshape(-1, da, da)
-        a = np.linalg.eigh((mb + mb.conj().transpose(0, 2, 1)) / 2)[1][:, :, 0]
+        a = np.linalg.eigh(hermitian_part(mb))[1][:, :, 0]
         ma = (_outer(a) @ t_a).reshape(-1, db, db)
-        vals, vecs = np.linalg.eigh((ma + ma.conj().transpose(0, 2, 1)) / 2)
+        vals, vecs = np.linalg.eigh(hermitian_part(ma))
         b, val = vecs[:, :, 0], vals[:, 0]
         done = np.abs(prev - val) < SEESAW_STOP_TOL
         best = np.min(val[done], initial=best)

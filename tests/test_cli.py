@@ -356,8 +356,8 @@ class TestScanAndGraph:
         # a fresh process, so that no protocol is cached yet: GHZ and CL4, one build each
         code = ("import netwitness.graphs as graphs\n"
                 "from netwitness.cli import main\n"
-                "builds, build = [], graphs.mixture\n"
-                "graphs.mixture = lambda *a: builds.append(a) or build(*a)\n"
+                "builds, build = [], graphs.pairing\n"
+                "graphs.pairing = lambda *a: builds.append(a) or build(*a)\n"
                 f"assert main(['graph', 'demo', '--out', {str(tmp_path / 'r')!r}]) == 0\n"
                 "print(len(builds))\n")
         assert run_fresh(code).split() == ["2"]

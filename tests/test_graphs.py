@@ -18,7 +18,7 @@ from netwitness.graphs import (
     multi_overlap_raw,
 )
 from netwitness.states import random_state
-from netwitness.tensor import Mat, density
+from netwitness.tensor import Mat, density, pairing
 from netwitness.witnesses import Witness
 
 X = np.array([[0, 1], [1, 0]])
@@ -386,7 +386,7 @@ def old_graph_witness_matrix(g, labels):
 
 def old_graph_network(g, labels):
     kets = [old_graph_basis_state(g, x) for x in labels]
-    return graphs._uniform_pairing(kets, (2,) * (2 * g.n))
+    return pairing(((1 / len(kets), v) for v in kets), (2,) * (2 * g.n))
 
 
 def old_ghz_network_matrix():

@@ -1,0 +1,60 @@
+"""Package layout: what ``import netwitness`` loads, and no caller-less public code."""
+
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "netwitness"
+
+
+def test_import_loads_the_core_modules():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    code = ("import sys, netwitness\n"
+            "print(sorted(m for m in sys.modules if m.startswith('netwitness.')))\n")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(ast.literal_eval(proc.stdout))
+    assert {f"netwitness.{m}" for m in
+            ("tensor", "witnesses", "networks", "protocol", "states")} <= loaded
+
+
+def _names(tree, skip=None) -> set:
+    """Every identifier, attribute and imported name in ``tree``, outside ``skip``."""
+    out, stack = set(), [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def test_every_public_definition_has_a_caller():
+    # a caller is code in src/ (outside the definition itself and __init__.py),
+    # perfbench/ or scripts/; tests alone do not keep library code alive
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))
+             if p.name != "__init__.py"}
+    outside = set()
+    for p in sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py")):
+        outside |= _names(ast.parse(p.read_text()))
+    unused = [
+        f"{name}:{node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        and node.name not in outside
+        and not any(node.name in _names(t, node if n == name else None) for n, t in trees.items())
+    ]
+    assert unused == []

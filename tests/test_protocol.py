@@ -27,13 +27,19 @@ from netwitness.protocol import (
     teleport_contraction,
     wilson_interval,
 )
-from netwitness.states import bell_diagonal_state, isotropic_state, random_state
+from netwitness.states import isotropic_state, random_state
 from netwitness.tensor import density
 from netwitness.witnesses import two_qubit_pt_witness
 
 
 def dm(ket, dims):
     return density(np.outer(ket, np.conj(ket)), dims)
+
+
+def bell_diagonal_state(d, p):
+    """The mixture sum_st p[s, t] P_st of generalized Bell projectors."""
+    return density(sum(p[s, t] * bell.bell_projector(d, s, t).data
+                       for s in range(d) for t in range(d)), (d, d))
 
 
 PSI_MINUS = dm(bell.bell_ket(2, 1, 1), (2, 2))

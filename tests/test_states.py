@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from netwitness import bell
+from netwitness import bell, witnesses
 from netwitness.networks import choi_network
 from netwitness.protocol import detect_exact, singlet_fraction
 from netwitness.states import (
@@ -13,7 +13,6 @@ from netwitness.states import (
     ScanResult,
     _refine,
     _screen,
-    bell_diagonal_state,
     find_choi_detected_ppt,
     isotropic_state,
     random_state,
@@ -44,35 +43,6 @@ class TestIsotropic:
     def test_rejects_bad_fidelity(self):
         with pytest.raises(ValueError):
             isotropic_state(3, 1.2)
-
-
-class TestBellDiagonal:
-    def test_uniform_is_maximally_mixed(self):
-        rho = bell_diagonal_state(3, np.full((3, 3), 1 / 9))
-        assert np.max(np.abs(rho.data - np.eye(9) / 9)) <= 1e-12
-
-    def test_concentrated_is_projector(self):
-        p = np.zeros((3, 3))
-        p[0, 0] = 1.0
-        rho = bell_diagonal_state(3, p)
-        assert np.max(np.abs(rho.data - bell.bell_projector(3, 0, 0).data)) <= 1e-12
-
-    def test_expectation_formula(self):
-        # tr[W(lam) rho] = sum_s lam_s q_s - p_00 with q_s the row sums
-        rng = np.random.default_rng(5)
-        w = choi_witness()
-        lam = np.array(w.lambda_vec)
-        for _ in range(10):
-            p = rng.random((3, 3))
-            p /= p.sum()
-            rho = bell_diagonal_state(3, p)
-            direct = w.expectation(rho)
-            formula = float(lam @ p.sum(axis=1) - p[0, 0])
-            assert abs(direct - formula) <= 1e-12
-
-    def test_rejects_bad_p(self):
-        with pytest.raises(ValueError):
-            bell_diagonal_state(2, [0.5, 0.5, 0.5, -0.5])
 
 
 class TestRandomStates:
@@ -179,6 +149,15 @@ class TestChoiScan:
         assert a.found == b.found
         if a.found:
             assert np.array_equal(a.p, b.p)
+
+    def test_scan_runs_no_cyclic_check(self, monkeypatch):
+        # the scan reads the Choi witness's matrix; it need not re-screen its lambda
+        calls = []
+        check = witnesses.cyclic_inequality_check
+        monkeypatch.setattr(witnesses, "cyclic_inequality_check",
+                            lambda *a, **k: calls.append(a) or check(*a, **k))
+        assert find_choi_detected_ppt(grid_resolution=40).found
+        assert calls == []
 
 
 _PROJS = [bell.bell_projector(3, s, t) for s in range(3) for t in range(3)]

@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from netwitness.tensor import Mat, _pt_shift, _pt_source, density, partial_transpose, proj
+from netwitness.tensor import (
+    Mat,
+    _pt_shift,
+    _pt_source,
+    density,
+    hermitian_part,
+    pairing,
+    partial_transpose,
+    proj,
+)
 
 
 def random_mat(dims, seed, hermitian=False):
@@ -141,6 +150,29 @@ class TestPartialTransposeMap:
         s = _pt_shift((2, 3, 2, 3), frozenset({1, 3}))
         assert _pt_shift((2, 3, 2, 3), frozenset({3, 1})) is s
         assert not s.flags.writeable
+
+
+class TestHermitianPart:
+    def test_matrix_and_stack(self):
+        m = random_mat((2, 3), 2).data
+        assert hermitian_part(m).tobytes() == ((m + m.conj().T) / 2).tobytes()
+        stack = np.stack([m, 3 * m.T])
+        got = hermitian_part(stack)
+        assert all(got[i].tobytes() == hermitian_part(stack[i]).tobytes() for i in range(2))
+
+
+class TestPairing:
+    def test_equals_dense_sum_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        kets = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0].T
+        weights = (0.4, 0.3, 0.2, 0.1)
+        expect = np.zeros((16, 16), dtype=complex)
+        for c, v in zip(weights, kets):
+            p = np.outer(v, v.conj())
+            expect += c * np.kron(p, p)
+        got = pairing(zip(weights, kets), (2,) * 4)
+        assert got.dims == (2,) * 4
+        assert got.data.tobytes() == expect.tobytes()
 
 
 class TestDensityOperator:

@@ -3,7 +3,7 @@ import pytest
 
 from netwitness import bell
 from netwitness.networks import pbd_network
-from netwitness.states import random_state
+from netwitness.states import find_choi_detected_ppt, random_state
 from netwitness.tensor import Mat, density, partial_transpose
 from netwitness.witnesses import (
     Witness,
@@ -92,6 +92,20 @@ class TestBellDiagonalWitness:
     def test_choi_on_maximally_mixed(self):
         w = choi_witness()
         assert np.isclose(w.expectation(density(np.eye(9) / 9, (3, 3))), 2 / 9)
+
+    def test_expectation_formula(self):
+        # tr[W(lam) rho] = sum_s lam_s q_s - p_00 for rho = sum_st p_st P_st,
+        # with q_s the row sums of p
+        rng = np.random.default_rng(5)
+        w = choi_witness()
+        lam = np.array(w.lambda_vec)
+        for _ in range(10):
+            p = rng.random((3, 3))
+            p /= p.sum()
+            rho = density(sum(p[s, t] * bell.bell_projector(3, s, t).data
+                              for s in range(3) for t in range(3)), (3, 3))
+            formula = float(lam @ p.sum(axis=1) - p[0, 0])
+            assert abs(w.expectation(rho) - formula) <= 1e-12
 
     def test_transpose_invariant(self):
         w = bell_diagonal_witness((0.5, 0.3, 0.2))
@@ -371,3 +385,14 @@ class TestSepFloor:
     )
     def test_witness_property_for_builtins(self, factory):
         assert sep_floor_estimate(factory(), restarts=64, rng_seed=3) >= -1e-6
+
+
+@pytest.mark.parametrize("call, what", [
+    (lambda: find_choi_detected_ppt(40.5), "resolution"),
+    (lambda: cyclic_inequality_check((2 / 3, 1 / 3, 0.0), trials=2.5), "trials"),
+    (lambda: sep_floor_estimate(choi_witness(), restarts=2.5), "restarts"),
+    (lambda: sep_floor_estimate(choi_witness(), iters=3.0), "iters"),
+], ids=["resolution", "trials", "restarts", "iters"])
+def test_non_integer_count_rejected(call, what):
+    with pytest.raises(ValueError, match=f"^{what} must be an integer, not "):
+        call()
