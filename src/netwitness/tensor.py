@@ -151,13 +151,54 @@ def density(data, dims) -> DensityOperator:
     return DensityOperator(Mat(data, dims))
 
 
+# A term scatters its nonzero entries when they fill less than 1/_SCATTER_FILL
+# of the state; denser terms are cheaper as one broadcast product.
+_SCATTER_FILL = 16
+
+
+def _scatters(nnz: int, side: int) -> bool:
+    """Whether ``mixture`` adds a term with nnz nonzero entries by scatter."""
+    return nnz * _SCATTER_FILL < side * side
+
+
+def _mixture_term(term, dims: tuple, side: int) -> tuple:
+    """The mixture term (c, A, B) or (c, rho), its weight and shapes checked."""
+    c, *factor = term
+    if not (np.isfinite(c) and c >= 0):
+        raise ValueError(f"mixture weight {c!r} is not finite and >= 0")
+    if len(factor) == 1:
+        if not isinstance(factor[0], DensityOperator):
+            raise ValueError("a (c, rho) mixture term needs a DensityOperator rho")
+        if factor[0].dims != dims:
+            raise ValueError(f"a (c, rho) mixture term has dims {factor[0].dims}, not {dims}")
+        return c, factor[0]
+    if len(factor) != 2:
+        raise ValueError("a mixture term is (c, A, B) or (c, rho)")
+    a, b = (np.asarray(f) for f in factor)
+    if any(f.ndim != 2 or f.shape[0] != f.shape[1] for f in (a, b)):
+        raise ValueError(f"mixture factors of shapes {a.shape}, {b.shape} are not square")
+    if len(a) * len(b) != side:
+        raise ValueError(f"mixture factor sides {len(a)} x {len(b)} do not make side {side}")
+    return c, a, b
+
+
 def mixture(terms, dims) -> DensityOperator:
     """The state N = sum_j c_j A_j (x) B_j, certified per term with no dense eigensolve.
 
-    A term is (c, A, B) with square arrays A, B, or (c, rho) with a
-    DensityOperator rho on ``dims``. Terms are added in the given order onto
-    zeros, so N has the bits of ``sum(c * np.kron(A, B) for ...)``. Every c
-    must be finite and >= 0, every distinct factor Hermitian within
+    A term is (c, A, B) with square arrays A, B whose sides multiply to the
+    state's side, or (c, rho) with a DensityOperator rho on ``dims``; every
+    term is checked before any is added. Terms are added in the given order
+    onto zeros, so N has the bits of ``0 + sum(c * np.kron(A, B) for ...)``.
+    A term with fewer than side^2 / 16 nonzero entries (nnz(A) * nnz(B), or
+    nnz(rho)) adds only those: the products of A's and B's nonzero entries,
+    made by the same two multiplies into complex as the broadcast, are
+    scattered onto their Kronecker positions, which are distinct within a
+    term. Any other term is one broadcast product in a full-size buffer,
+    made on the first such term. Both give the same bits: a skipped product
+    is +-0, and adding +-0 leaves every entry as it was, since the sum
+    starts at +0.0 and only -0.0 + -0.0 gives -0.0.
+
+    Every c must be finite and >= 0, every distinct factor Hermitian within
     STRUCTURAL_TOL with smallest eigenvalue >= -STRUCTURAL_TOL (one stacked
     eigvalsh per factor shape); factors need no unit trace. Then, up to
     rounding, lambda_min(N) >= -STRUCTURAL_TOL * sum_j c_j max(|A_j|, |B_j|)
@@ -167,25 +208,38 @@ def mixture(terms, dims) -> DensityOperator:
     """
     dims = _indices(dims, "dims")
     side = int(np.prod(dims))
-    acc = np.zeros((side, side), dtype=complex)
-    scaled = np.empty_like(acc)  # c * (A (x) B) of the current term; one buffer for all
-    factors = {}
-    n_terms = 0
-    for n_terms, (c, *factor) in enumerate(terms, 1):
-        if not (np.isfinite(c) and c >= 0):
-            raise ValueError(f"mixture weight {c!r} is not finite and >= 0")
-        if len(factor) == 1:
-            if not isinstance(factor[0], DensityOperator):
-                raise ValueError("a (c, rho) mixture term needs a DensityOperator rho")
-            acc += np.multiply(factor[0].data, c, out=scaled)
-            continue
-        a, b = (np.asarray(f) for f in factor)
-        factors.update({id(a): a, id(b): b})
-        grid = scaled.reshape(len(a), len(b), len(a), len(b))  # a view: np.kron's entries
-        np.multiply(a[:, None, :, None], b[None, :, None, :], out=grid)
-        acc += np.multiply(scaled, c, out=scaled)
-    if not n_terms:
+    checked = [_mixture_term(term, dims, side) for term in terms]
+    if not checked:
         raise ValueError("mixture needs at least one term")
+    acc = np.zeros((side, side), dtype=complex)
+    scaled = None  # c * (A (x) B) of the current broadcast term; one buffer for all
+    factors = {}
+    for c, *factor in checked:
+        if len(factor) == 1:
+            rho = factor[0].data
+            nnz = np.count_nonzero(rho)
+        else:
+            a, b = factor
+            factors.update({id(a): a, id(b): b})
+            nnz = np.count_nonzero(a) * np.count_nonzero(b)
+        if _scatters(nnz, side):
+            if len(factor) == 1:
+                rows, cols = np.nonzero(rho)
+                vals = rho[rows, cols]
+            else:
+                (ia, ja), (ib, jb) = np.nonzero(a), np.nonzero(b)
+                rows, cols = (ia * len(b))[:, None] + ib, (ja * len(b))[:, None] + jb
+                vals = np.empty(rows.shape, dtype=complex)  # complex, as the broadcast's buffer
+                np.multiply(a[ia, ja][:, None], b[ib, jb], out=vals)
+            acc[rows, cols] += np.multiply(vals, c, out=vals)
+            continue
+        if scaled is None:
+            scaled = np.empty_like(acc)
+        if len(factor) == 2:
+            grid = scaled.reshape(len(a), len(b), len(a), len(b))  # a view: np.kron's entries
+            np.multiply(a[:, None, :, None], b[None, :, None, :], out=grid)
+            rho = scaled
+        acc += np.multiply(rho, c, out=scaled)
     for shape in {f.shape for f in factors.values()}:
         stack = np.stack([f for f in factors.values() if f.shape == shape])
         # a NaN defect fails the comparison, so a non-finite factor is rejected here

@@ -563,11 +563,24 @@ class TestMixtureCertificate:
             mixture([(1.0, rho)], (2,) * 4)
 
     def test_no_full_size_copy_or_temporary(self):
-        # the sum and the one term buffer are the only full-size arrays
-        a = np.eye(32) / 32
+        # a fully dense term takes the broadcast: the sum and the one term
+        # buffer are the only full-size arrays
+        a = np.full((32, 32), 1 / 32)
         tracemalloc.start()
         try:
-            state = mixture([(1.0, a, a)], (2,) * 10)
+            state = mixture([(0.5, a, a), (0.5, a, a)], (2,) * 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * state.data.nbytes
+
+    def test_bh6_build_peak_below_two_and_a_half_states(self):
+        # scattered terms need no term buffer: the sum and the nested paired
+        # state are the only full-size arrays
+        bh_network(6)  # warm every cache first
+        tracemalloc.start()
+        try:
+            state = bh_network(6).state
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

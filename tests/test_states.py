@@ -11,6 +11,7 @@ from netwitness.states import (
     PPT_EIG_FLOOR,
     WITNESS_CUTOFF,
     ScanResult,
+    _qutrit_bell_projectors,
     _refine,
     _screen,
     find_choi_detected_ppt,
@@ -158,6 +159,18 @@ class TestChoiScan:
                             lambda *a, **k: calls.append(a) or check(*a, **k))
         assert find_choi_detected_ppt(grid_resolution=40).found
         assert calls == []
+
+    def test_projector_stack_built_once(self, monkeypatch):
+        find_choi_detected_ppt(grid_resolution=40)  # fills the cache
+        calls = []
+        projector = bell.bell_projector
+        monkeypatch.setattr(bell, "bell_projector",
+                            lambda *a: calls.append(a) or projector(*a))
+        assert find_choi_detected_ppt(grid_resolution=40).found
+        assert calls == [(3, 0, 0)]  # the witness matrix's own P_00 only
+        stack = _qutrit_bell_projectors()
+        assert not stack.flags.writeable
+        assert [p.tobytes() for p in stack] == [p.data.tobytes() for p in _PROJS]
 
 
 _PROJS = [bell.bell_projector(3, s, t) for s in range(3) for t in range(3)]

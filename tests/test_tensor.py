@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from netwitness import bell, cli, graphs, networks, tensor
+from netwitness.states import random_state
 from netwitness.tensor import (
     Mat,
     _pt_shift,
     _pt_source,
     density,
     hermitian_part,
+    mixture,
     pairing,
     partial_transpose,
     proj,
@@ -173,6 +176,143 @@ class TestPairing:
         got = pairing(zip(weights, kets), (2,) * 4)
         assert got.dims == (2,) * 4
         assert got.data.tobytes() == expect.tobytes()
+
+
+def kron_sum(terms):
+    """The dense oracle of ``mixture``: 0 + sum(c * np.kron(A, B)), with c * rho
+    for a (c, rho) term, added in order."""
+    return 0 + sum(c * (np.kron(*f) if len(f) == 2 else f[0].data) for c, *f in terms)
+
+
+def random_factor(side, seed):
+    """A fully dense random Hermitian PSD matrix of unit trace."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+    m = hermitian_part(g @ g.conj().T)
+    return m / np.trace(m).real
+
+
+@pytest.fixture
+def branches(monkeypatch):
+    """Every scatter (True) or broadcast (False) choice of ``mixture``, in order."""
+    seen, real = [], tensor._scatters
+
+    def spy(nnz, side):
+        seen.append(real(nnz, side))
+        return seen[-1]
+
+    monkeypatch.setattr(tensor, "_scatters", spy)
+    return seen
+
+
+class TestMixtureBranches:
+    """Both ways of adding a term give the bits of the dense Kronecker sum."""
+
+    def test_signed_zero_entries_scatter(self, branches):
+        a = np.diag([0.5, 0.25, 0.25, -0.0])
+        a[0, 1] = a[1, 0] = -0.0
+        b = np.zeros((4, 4), dtype=complex)
+        b[:2, :2] = [[0.5, 0.1j], [-0.1j, 0.5]]
+        b[2, 3] = b[3, 2] = complex(-0.0, -0.0)
+        got = mixture([(1.0, a, b)], (4, 4))
+        assert branches == [True]
+        assert got.data.tobytes() == kron_sum([(1.0, a, b)]).tobytes()
+        # the skipped products include -0.0 ones, and none of them shows
+        assert np.signbit(np.kron(a, b).real[np.kron(a, b) == 0]).any()
+        zeros = got.data[got.data == 0]
+        assert not (np.signbit(zeros.real).any() or np.signbit(zeros.imag).any())
+
+    def test_dense_random_term_broadcasts(self, branches):
+        terms = [(1.0, random_factor(9, 1), random_factor(9, 2))]
+        got = mixture(terms, (3,) * 4)
+        assert branches == [False]
+        assert got.data.tobytes() == kron_sum(terms).tobytes()
+
+    def test_mixed_branches_with_nested_terms(self, branches):
+        p00 = bell.bell_projector(3, 0, 0).data
+        terms = [
+            (0.2, random_factor(9, 3), random_factor(9, 4)),
+            (0.1, p00, np.diag([0.5, 0, 0, 0, 0.5, 0, 0, 0, -0.0])),
+            (0.3, networks.choi_network().state),
+            (0.4, random_state((3,) * 4, 5)),
+        ]
+        branches.clear()  # choi_network's own terms
+        got = mixture(terms, (3,) * 4)
+        assert branches == [False, True, True, False]
+        assert got.data.tobytes() == kron_sum(terms).tobytes()
+
+
+class TestMixtureBoundary:
+    """A term that does not fit the state is refused before any term is added."""
+
+    P = bell.bell_projector(2, 0, 0).data
+
+    @staticmethod
+    def factor(side, dense):
+        return np.full((side, side), 1 / side) if dense else np.eye(side) / side
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_non_square_factor(self, dense, branches):
+        a = self.factor(4, dense)[:, :2] * 2
+        with pytest.raises(ValueError, match="not square"):
+            mixture([(0.5, self.P, self.P), (0.5, a, self.factor(4, dense))], (2,) * 4)
+        assert branches == []
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_factor_sides_not_the_state_side(self, dense, branches):
+        a = self.factor(2, dense)
+        with pytest.raises(ValueError, match="do not make side 16"):
+            mixture([(1.0, a, a)], (2,) * 4)
+        with pytest.raises(ValueError, match="do not make side 16"):
+            mixture([(0.5, self.P, self.P), (0.5, np.eye(8) / 8, self.P)], (2,) * 4)
+        assert branches == []
+
+    @pytest.mark.parametrize("dense", [False, True])
+    @pytest.mark.parametrize("rho_dims", [(2, 2), (4, 4), (2, 2, 4)])
+    def test_nested_state_on_other_dims(self, rho_dims, dense, branches):
+        side = int(np.prod(rho_dims))
+        rho = density(self.factor(side, dense), rho_dims)
+        with pytest.raises(ValueError, match="has dims"):
+            mixture([(0.5, self.P, self.P), (0.5, rho)], (2,) * 4)
+        assert branches == []
+
+    def test_term_of_wrong_length(self):
+        with pytest.raises(ValueError, match=r"\(c, A, B\) or \(c, rho\)"):
+            mixture([(1.0, self.P, self.P, self.P)], (2,) * 4)
+
+
+def _family_networks():
+    """Every cli.FAMILIES network at its default d (pbd at d = 3 and 4, the
+    decomposable row with and without a raised eta), and bh at d = 6."""
+    rows = {id(f): f for f in cli.FAMILIES.values()}.values()
+    for f in rows:
+        if f.d is None:
+            yield f.network(None, (2 / 3, 1 / 3, 0.0), 0, None)
+            yield f.network(None, (0.4, 0.3, 0.2, 0.1), 0, None)
+        else:
+            yield f.network(f.d, None, 7, None)
+    yield cli.FAMILIES["decomposable"].network(3, None, 7, 0.5)
+    yield networks.bh_network(6)
+
+
+class TestMixtureFamilies:
+    def test_either_branch_alone_gives_the_same_bits(self, monkeypatch):
+        default = [n.state.data.tobytes() for n in _family_networks()]
+        for forced in (True, False):
+            monkeypatch.setattr(tensor, "_scatters", lambda nnz, side, _f=forced: _f)
+            assert [n.state.data.tobytes() for n in _family_networks()] == default
+
+    @pytest.mark.parametrize("build, scatters", [
+        (lambda: networks.bh_network(4), True),
+        (lambda: networks.bh_network(6), True),
+        (lambda: networks.pbd_network((0.4, 0.3, 0.2, 0.1)), True),
+        (lambda: graphs.graph_network(graphs.cl4_graph(), graphs.CL4_LABELS), False),
+        (lambda: cli.FAMILIES["decomposable"].network(3, None, 7, None), False),
+        (lambda: cli.FAMILIES["decomposable"].network(3, None, 7, 0.5), False),
+    ])
+    def test_sparse_families_scatter_dense_ones_broadcast(self, build, scatters, branches):
+        build()
+        assert branches and set(branches) == {scatters}
 
 
 class TestDensityOperator:
