@@ -3,12 +3,16 @@
 A graph basis ket is |G_x> = CZ_E H^n |x> for a bit string x and edge set E
 (Hein, Eisert, Briegel, PRA 69, 062311, 2004). H^n gives |b> the sign
 (-1)^{x.b} and the controlled-Z on an edge (i, j) the sign (-1)^{b_i b_j}, so
-<b|G_x> = 2^{-n/2} (-1)^{sum_E b_i b_j + x.b}. ``_graph_kets`` builds these
-rows as one table; GHZ and cluster witnesses pair them uniformly across the
-network layers. Every entry is +-c with c = 2.0 ** (-n / 2). For even n,
-c*c = 2^{-n} and every sum of products is exact in any order; for odd n,
-c*c = 2^{-n}(1 + 2^{-52}), whose multiples may round, so the witness sums its
-projectors in label order.
+<b|G_x> = 2^{-n/2} (-1)^{sum_E b_i b_j + x.b}. ``_graph_signs`` builds these
+signs as one +-1 table and each builder scales it by a power of two once, so
+every sum over the table is an exact integer, at every n and in any order.
+
+For labels S containing 0, the network N = |S|^-1 sum_{x in S} |G_x><G_x|
+(x) |G_x><G_x| contracts rho, K[a, b] = sum_ij rho[i, j] N[(i, a), (j, b)],
+to K = |S|^-1 sum_{x in S} <G_x|rho|G_x> |G_x><G_x| (the kets are real).
+They are orthonormal, so the fraction read out on |G_0> is <G_0|K|G_0> / tr K
+= <G_0|rho|G_0> / sum_{x in S} <G_x|rho|G_x>. It exceeds 1/2 exactly when
+tr[rho W] < 0 for the witness W = (1/2) sum_{x in S} |G_x><G_x| - |G_0><G_0|.
 
 Qubits are vertices 1..n; the joint protocol space is grouped by layer,
 (layer 1 vertices, layer 2 vertices, layer 3 vertices), and the Bell
@@ -62,11 +66,13 @@ CL4_LABELS = (
 )
 
 
-def _graph_kets(g: GraphSpec, labels) -> np.ndarray:
-    """(|S|, 2^n) table whose row s is the graph basis ket of the s-th label."""
+def _graph_signs(g: GraphSpec, labels) -> np.ndarray:
+    """(|S|, 2^n) table of +-1.0 whose row s is 2^{n/2} times the graph basis
+    ket of the s-th label."""
     rows = {}
     for x in labels:
-        bits = tuple(int(c) for c in x) if isinstance(x, str) else _indices(x, "label bits")
+        # a character other than "0" or "1" reads as -1, which is not a bit
+        bits = tuple("01".find(c) for c in x) if isinstance(x, str) else _indices(x, "label bits")
         if len(bits) != g.n or any(b not in (0, 1) for b in bits):
             raise ValueError(f"label {x!r} is not a length-{g.n} bit string")
         if bits in rows:
@@ -77,33 +83,28 @@ def _graph_kets(g: GraphSpec, labels) -> np.ndarray:
     b = (np.arange(2**g.n)[:, None] >> np.arange(g.n - 1, -1, -1)) & 1  # bit of vertex i+1 in |k>
     i, j = (np.array(g.edges, dtype=int).reshape(-1, 2) - 1).T
     parity = (b[:, i] & b[:, j]).sum(axis=1) + np.array(list(rows)) @ b.T
-    return np.where(parity % 2, -1.0, 1.0) * 2.0 ** (-g.n / 2)
+    return np.where(parity % 2, -1.0, 1.0)
 
 
 def graph_basis_state(g: GraphSpec, x) -> np.ndarray:
     """Joint eigenket of the generators with signs (-1)^{x_i}."""
-    return _graph_kets(g, [x])[0]
-
-
-def _table_witness(g: GraphSpec, kets: np.ndarray) -> Witness:
-    """(1/2) K^T K - v0 v0^T for the ket table K and the all-zeros ket v0;
-    K^T K is summed row by row in label order (see the module note)."""
-    v0 = graph_basis_state(g, (0,) * g.n)
-    if not (kets == v0).all(axis=1).any():
-        raise ValueError("label set must contain the all-zeros string")
-    m = 0.5 * (kets[:, :, None] * kets[:, None, :]).sum(axis=0) - np.outer(v0, v0)
-    return Witness(Mat(m, (2,) * g.n), "graph", 0.5)
+    return _graph_signs(g, [x])[0] * 2.0 ** (-g.n / 2)
 
 
 def graph_witness(g: GraphSpec, labels) -> Witness:
     """(1/2) sum over the label set of graph projectors, minus the all-zeros one."""
-    return _table_witness(g, _graph_kets(g, labels))
+    signs = _graph_signs(g, labels)
+    s0 = _graph_signs(g, [(0,) * g.n])[0]
+    if not (signs == s0).all(axis=1).any():
+        raise ValueError("label set must contain the all-zeros string")
+    m = 2.0**-g.n * (0.5 * (signs.T @ signs) - np.outer(s0, s0))
+    return Witness(Mat(m, (2,) * g.n), "graph", 0.5)
 
 
 def graph_network(g: GraphSpec, labels) -> DensityOperator:
     """Uniform pairing of graph-basis projectors across layers 2 and 3."""
-    kets = _graph_kets(g, labels)
-    return pairing(((1 / len(kets), v) for v in kets), (2,) * (2 * g.n))
+    signs = _graph_signs(g, labels)
+    return pairing(((4.0**-g.n / len(signs), s) for s in signs), (2,) * (2 * g.n))
 
 
 def ghz_ket(a: int = 0, b: int = 0, c: int = 0) -> np.ndarray:
@@ -156,12 +157,10 @@ def ghz_protocol():
 
 @functools.cache
 def cl4_protocol():
-    """(network, witness, target ket) of the four-qubit cluster protocol,
-    all from one ket table; its first row is the all-zeros label's."""
+    """(network, witness, target ket) of the four-qubit cluster protocol."""
     g = cl4_graph()
-    kets = _read_only(_graph_kets(g, CL4_LABELS))
-    net = pairing(((1 / len(kets), v) for v in kets), (2,) * 8)
-    return net, _table_witness(g, kets), kets[0]
+    return (graph_network(g, CL4_LABELS), graph_witness(g, CL4_LABELS),
+            _read_only(graph_basis_state(g, "0000")))
 
 
 def ghz_detect_exact(rho: DensityOperator, provenance: dict | None = None):

@@ -119,11 +119,6 @@ def filtering_channel(rho: DensityOperator, n: NetworkState):
     return trk / (n.d * n.d), _filtered_state(k, trk, n.d)
 
 
-def singlet_fraction(sigma: DensityOperator) -> float:
-    """<phi_00|sigma|phi_00> for a bipartite state."""
-    return _readout(bell.bell_ket(sigma.dims[0], 0, 0), sigma.data)
-
-
 def bell_overlap_raw(rho: DensityOperator, n: NetworkState) -> float:
     """<phi_00|K|phi_00> with K the unscaled teleport contraction.
 

@@ -27,7 +27,6 @@ from netwitness.protocol import (
     detect_exact,
     detect_shots,
     measurement_circuit_probs,
-    singlet_fraction,
 )
 from netwitness.states import (
     find_choi_detected_ppt,
@@ -58,6 +57,12 @@ def criterion(num, label):
 
 def dm(ket, dims):
     return density(np.outer(ket, np.conj(ket)), dims)
+
+
+def singlet_fraction(sigma):
+    """<phi_00|sigma|phi_00> for a bipartite state."""
+    v = bell.bell_ket(sigma.dims[0], 0, 0)
+    return float(np.real(v.conj() @ sigma.data @ v))
 
 
 def test_acceptance_01_two_qubit_readout_identity():

@@ -1,4 +1,6 @@
 import itertools
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ Z = np.diag([1.0, -1.0])
 
 PATH2 = GraphSpec(2, ((1, 2),))
 CYCLE5 = GraphSpec(5, ((1, 2), (2, 3), (3, 4), (4, 5), (1, 5)))
+CYCLE5_LABELS = ("00000", "00001", "00110", "01010", "10011", "10101", "11100", "11111")
 
 
 def dm(ket, dims):
@@ -288,6 +291,18 @@ class TestGraphWitnessAndNetwork:
             with pytest.raises(ValueError, match="repeated graph label"):
                 graph_network(g, labels)
 
+    @pytest.mark.parametrize("label", ["\u0661\u0660\u0660\u0660", "0 01", "00a0", "000\u00b9"])
+    def test_string_label_is_ascii_bits_only(self, label):
+        # an Arabic-Indic or superscript digit is not read as a bit through int()
+        g = cl4_graph()
+        message = "is not a length-4 bit string"
+        with pytest.raises(ValueError, match=message):
+            graph_basis_state(g, label)
+        with pytest.raises(ValueError, match=message):
+            graph_witness(g, ["0000", label])
+        with pytest.raises(ValueError, match=message):
+            graph_network(g, [label])
+
     def test_protocol_built_once_and_read_only(self):
         rho = random_state((2,) * 4, rng_seed=5)
         assert graphs.cl4_detect_exact(rho).to_dict() == graphs.cl4_detect_exact(rho).to_dict()
@@ -448,10 +463,9 @@ class TestAgainstOldCode:
         for bits in itertools.product((0, 1), repeat=g.n):
             assert graph_basis_state(g, bits).tobytes() == old_graph_basis_state(g, bits).tobytes()
 
-    @pytest.mark.parametrize("g, labels", [
-        (cl4_graph(), CL4_LABELS),
-        (CYCLE5, ("00000", "00001", "00110", "01010", "10011", "10101", "11100", "11111")),
-    ], ids=["cl4", "cycle5"])
+    # an even n, where the old per-label sums were exact; odd n is held to the
+    # exact values by TestExactTable
+    @pytest.mark.parametrize("g, labels", [(cl4_graph(), CL4_LABELS)], ids=["cl4"])
     def test_witness_and_network_bit_identical(self, g, labels):
         w = graph_witness(g, labels).mat.data
         assert w.tobytes() == old_graph_witness_matrix(g, labels).tobytes()
@@ -502,3 +516,81 @@ class TestDetectMultiInputs:
         rho = density(np.eye(4) / 4, (2, 2))
         with pytest.raises(ValueError, match="do not match network"):
             multi_overlap_raw(rho, ghz_network(), ghz_ket())
+
+
+# --- exact oracles: the graph witness and network in rational arithmetic, from
+# the signs of the independent circuit builder old_graph_basis_state ---
+
+
+def exact_signs(g, labels) -> list:
+    return [[int(v) for v in np.sign(old_graph_basis_state(g, x))] for x in labels]
+
+
+def exact_witness(g, labels) -> list:
+    """2^-n ((1/2) sum_x s_x s_x^T - s_0 s_0^T) entry by entry, as Fractions."""
+    signs, (s0,) = exact_signs(g, labels), exact_signs(g, [(0,) * g.n])
+    scale = Fraction(1, 2**g.n)
+    return [[scale * (Fraction(sum(s[i] * s[j] for s in signs), 2) - s0[i] * s0[j])
+             for j in range(2**g.n)] for i in range(2**g.n)]
+
+
+def as_fractions(m) -> list:
+    assert not np.asarray(m).imag.any()
+    return [[Fraction(v) for v in row] for row in np.asarray(m).real.tolist()]
+
+
+PATH4 = GraphSpec(4, ((1, 3), (2, 3), (2, 4)))  # the path 1-3-2-4
+ALL4 = tuple(itertools.product((0, 1), repeat=4))
+
+
+class TestExactTable:
+    @pytest.mark.parametrize("g, labels", [
+        (GraphSpec(3, ((1, 2), (1, 3))), tuple(itertools.product((0, 1), repeat=3))),
+        (GraphSpec(3, ((1, 2), (2, 3))), ("000", "011", "101", "110")),
+        (cl4_graph(), CL4_LABELS),
+        (CYCLE5, CYCLE5_LABELS),
+    ], ids=["star3-all", "path3", "cl4", "cycle5"])
+    def test_witness_equals_fraction_oracle(self, g, labels):
+        assert as_fractions(graph_witness(g, labels).mat.data) == exact_witness(g, labels)
+
+    def test_network_equals_fraction_oracle(self):
+        # weight 4^-5 / 8 is a power of two, so every entry is an exact dyadic
+        signs = np.array(exact_signs(CYCLE5, CYCLE5_LABELS), dtype=np.int64)
+        num = sum(np.kron(np.outer(s, s), np.outer(s, s)) for s in signs)  # integers
+        net = graph_network(CYCLE5, CYCLE5_LABELS).data
+        assert not net.imag.any()
+        denom = 4**CYCLE5.n * len(signs)
+        for k in np.unique(num):
+            got = {Fraction(v) for v in np.unique(net.real[num == k]).tolist()}
+            assert got == {Fraction(int(k), denom)}
+
+    def test_all_labels_give_the_fidelity_witness_in_small_memory(self):
+        # (1/2) 1 - |G_0><G_0| on the 8-vertex path, with no (|S|, 2^n, 2^n) temporary
+        g = GraphSpec(8, tuple((i, i + 1) for i in range(1, 8)))
+        labels = list(itertools.product((0, 1), repeat=8))
+        tracemalloc.start()
+        try:
+            w = graph_witness(g, labels).mat.data
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        v0 = graph_basis_state(g, labels[0])
+        assert np.array_equal(w, np.eye(256) / 2 - np.outer(v0, v0))
+
+    @pytest.mark.parametrize("g, labels", [(cl4_graph(), CL4_LABELS), (PATH4, ALL4),
+                                           (CYCLE5, CYCLE5_LABELS)],
+                             ids=["cl4", "path4", "cycle5"])
+    def test_contraction_matches_closed_form(self, g, labels):
+        # K = |S|^-1 sum_x <G_x|rho|G_x> |G_x><G_x| and the fraction
+        # <G_0|rho|G_0> / sum_x <G_x|rho|G_x> of the graphs module docstring
+        net, w = graph_network(g, labels), graph_witness(g, labels)
+        kets = np.array([graph_basis_state(g, x) for x in labels])  # row 0 is |G_0>
+        dim = 2**g.n
+        for seed in range(5):
+            rho = random_state((2,) * g.n, rng_seed=seed)
+            p = np.einsum("xi,ij,xj->x", kets, rho.data, kets).real
+            k = protocol.teleport_contraction(rho.data, net.data, dim, dim)
+            assert np.max(np.abs(k - (kets.T * p) @ kets / len(labels))) <= 1e-15
+            rep = graphs.detect_multi_exact(rho, net, w, kets[0])
+            assert abs(rep.singlet_fraction - p[0] / p.sum()) <= 1e-15

@@ -24,16 +24,22 @@ def test_import_loads_the_core_modules():
             ("tensor", "witnesses", "networks", "protocol", "states")} <= loaded
 
 
+MODULES = {p.stem for p in PACKAGE.glob("*.py")} | {"netwitness"}
+
+
 def _names(tree, skip=None) -> set:
-    """Every identifier, attribute and imported name in ``tree``, outside ``skip``."""
+    """Every name that ``tree`` reads, imports, or takes as an attribute of a
+    netwitness module (``protocol.detect_exact``), outside ``skip``; a store or an
+    attribute of any other object (``rep.singlet_fraction``) is no caller."""
     out, stack = set(), [tree]
     while stack:
         node = stack.pop()
         if node is skip:
             continue
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             out.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in MODULES):
             out.add(node.attr)
         elif isinstance(node, ast.alias):
             out.add(node.name)

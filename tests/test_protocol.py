@@ -23,7 +23,6 @@ from netwitness.protocol import (
     measurement_circuit_probs,
     qudit_cnot,
     qudit_hadamard,
-    singlet_fraction,
     teleport_contraction,
     wilson_interval,
 )
@@ -34,6 +33,12 @@ from netwitness.witnesses import two_qubit_pt_witness
 
 def dm(ket, dims):
     return density(np.outer(ket, np.conj(ket)), dims)
+
+
+def singlet_fraction(sigma):
+    """<phi_00|sigma|phi_00> for a bipartite state."""
+    v = bell.bell_ket(sigma.dims[0], 0, 0)
+    return float(np.real(v.conj() @ sigma.data @ v))
 
 
 def bell_diagonal_state(d, p):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from netwitness import bell, witnesses
 from netwitness.networks import choi_network
-from netwitness.protocol import detect_exact, singlet_fraction
+from netwitness.protocol import detect_exact
 from netwitness.states import (
     PPT_EIG_FLOOR,
     WITNESS_CUTOFF,
@@ -20,6 +20,12 @@ from netwitness.states import (
 )
 from netwitness.tensor import _pt_source, density, partial_transpose
 from netwitness.witnesses import choi_witness, reduction_witness
+
+
+def singlet_fraction(sigma):
+    """<phi_00|sigma|phi_00> for a bipartite state."""
+    v = bell.bell_ket(sigma.dims[0], 0, 0)
+    return float(np.real(v.conj() @ sigma.data @ v))
 
 
 class TestIsotropic:
