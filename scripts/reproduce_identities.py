@@ -17,12 +17,11 @@ from netwitness.networks import (
     reconstruct_witness,
     reduction_network,
     smolin_network,
-    two_qubit_network,
 )
 from netwitness.protocol import bell_overlap_raw
 from netwitness.states import random_state
 from netwitness.tensor import density
-from netwitness.witnesses import two_qubit_pt_witness
+from netwitness.witnesses import decomposable_witness
 
 
 def main() -> None:
@@ -31,7 +30,6 @@ def main() -> None:
     args = parser.parse_args()
 
     nets = [
-        two_qubit_network(),
         flip_network(2),
         flip_network(3),
         decomposable_network(random_state((3, 3), rng_seed=args.seed, rank=1)),
@@ -48,9 +46,9 @@ def main() -> None:
         print(f"{net.family:<14} {net.d:>2} {net.eta:>10.6f} "
               f"{net.recon_constant:>14.10f} {err:>12.3e}")
 
-    print("\ntwo-qubit readout identity residuals (20 random states):")
-    net = two_qubit_network()
-    w = two_qubit_pt_witness()
+    print("\ntwo-qubit (flip, d = 2) readout identity residuals (20 random states):")
+    net = flip_network(2)
+    w = decomposable_witness(density(bell.bell_projector(2, 0, 0).data, (2, 2)))
     worst = 0.0
     for seed in range(20):
         rho = random_state((2, 2), rng_seed=seed)

@@ -73,8 +73,11 @@ def _bell_state(d: int, s: int = 0, t: int = 0) -> DensityOperator:
     return density(np.outer(v, v.conj()), (d, d))
 
 
-_TWO_QUBIT = Family(2, lambda *_: witnesses.two_qubit_pt_witness(),
-                    lambda *_: networks.two_qubit_network())
+_FLIP = Family(2, lambda d, *_: witnesses.decomposable_witness(_bell_state(d)),
+               lambda d, *_: networks.flip_network(d), lambda d: _PPT_A2A3)
+# flip with d fixed at 2, so that _build rejects any other --d
+_TWO_QUBIT = Family(2, lambda d, *a: _FLIP.witness(2, *a), lambda d, *a: _FLIP.network(2, *a),
+                    _FLIP.ppt)
 _PBD = Family(None, lambda d, lam, *_: witnesses.bell_diagonal_witness(lam),
               lambda d, lam, *_: networks.pbd_network(lam))
 _BH = Family(4, lambda d, *_: witnesses.breuer_hall_witness(d),
@@ -82,8 +85,7 @@ _BH = Family(4, lambda d, *_: witnesses.breuer_hall_witness(d),
 FAMILIES = {
     "two-qubit": _TWO_QUBIT,
     "two-qubit-pt": _TWO_QUBIT,
-    "flip": Family(2, lambda d, *_: witnesses.decomposable_witness(_bell_state(d)),
-                   lambda d, *_: networks.flip_network(d), lambda d: _PPT_A2A3),
+    "flip": _FLIP,
     "decomposable": Family(3, lambda d, lam, seed: witnesses.decomposable_witness(
         _seeded_q(d, seed)), _decomposable_network),
     "pbd": _PBD,

@@ -107,20 +107,17 @@ def graph_network(g: GraphSpec, labels) -> DensityOperator:
     return pairing(((4.0**-g.n / len(signs), s) for s in signs), (2,) * (2 * g.n))
 
 
+# GHZ is the star graph 1-2, 1-3 seen through a Hadamard on each leaf:
+# (1 (x) H (x) H) |G_abc> = Z^a (x) X^b (x) X^c (|000> + |111>)/sqrt(2).
+_STAR = GraphSpec(3, ((1, 2), (1, 3)))
+_H = np.array([[1, 1], [1, -1]])
+_LEAF_FRAME = np.kron(np.eye(2, dtype=int), np.kron(_H, _H))
+
+
 def ghz_ket(a: int = 0, b: int = 0, c: int = 0) -> np.ndarray:
     """Z^a (x) X^b (x) X^c applied to (|000> + |111>)/sqrt(2)."""
-    if any(v not in (0, 1) for v in (a, b, c)):
-        raise ValueError("labels must be bits")
-    v = np.zeros(8)
-    v[0] = v[7] = 1 / np.sqrt(2)
-    t = v.reshape(2, 2, 2).copy()
-    if a:
-        t[1, :, :] *= -1.0
-    if b:
-        t = t[:, ::-1, :]
-    if c:
-        t = t[:, :, ::-1]
-    return t.reshape(-1)
+    # the frame takes the +-1 signs to 0 and +-4, so only the last division rounds
+    return (_LEAF_FRAME @ _graph_signs(_STAR, [(a, b, c)])[0]) / 4 / np.sqrt(2)
 
 
 def ghz_witness() -> Witness:

@@ -28,8 +28,7 @@ from .tensor import (
     pairing,
     partial_transpose,
 )
-from .witnesses import (Witness, _bell_diagonal_matrix, _breuer_hall_paired, check_lambda_vec,
-                        two_qubit_pt_witness)
+from .witnesses import Witness, _bell_diagonal_matrix, _breuer_hall_paired, check_lambda_vec
 
 SITE_NAMES = ("A2", "B2", "A3", "B3")
 
@@ -78,24 +77,8 @@ class DecompositionTerm:
 
 
 def two_qubit_network() -> NetworkState:
-    """Mixture of |psi-><psi-| (x) |phi+><phi+| with its orthogonal complement.
-
-    Realizes the two-qubit partial-transpose witness at threshold 1/2.
-    """
-    w = two_qubit_pt_witness()
-    psi_minus = bell.bell_projector(2, 1, 1).data
-    phi_plus = bell.bell_projector(2, 0, 0).data
-    eye4 = np.eye(4)
-    return NetworkState(
-        state=mixture([
-            (0.25, psi_minus, phi_plus),
-            (1 / 12, eye4 - psi_minus, eye4 - phi_plus),
-        ], (2, 2, 2, 2)),
-        eta=0.5,
-        recon_constant=0.25,
-        family="two-qubit",
-        witness=w.mat,
-    )
+    """The flip network at d = 2; realizes the two-qubit partial-transpose witness."""
+    return flip_network(2)
 
 
 def decomposable_network(q: DensityOperator, lam: float | None = None,

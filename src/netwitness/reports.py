@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import contextlib
 import json
+import os
+import stat
 import sys
 
 import numpy as np
@@ -38,12 +40,22 @@ def _format_scalar(x) -> str:
     raise TypeError(f"unsupported report value type {type(x)!r}")
 
 
-def _float_block(seq: list, inner: str) -> str:
-    """Item lines of a list of Python floats, each distinct bit pattern
-    (so -0.0 and every NaN payload apart) formatted once."""
-    bits, inverse = np.unique(np.array(seq).view(np.uint64), return_inverse=True)
-    lines = np.array([f"{inner}{v:.12e}" for v in bits.view(np.float64).tolist()], dtype=object)
-    return ",\n".join(lines[inverse].tolist())
+# Item lines per write of a float block: bounded memory for any matrix size.
+_FLOAT_CHUNK = 4096
+
+
+def _float_block(values: np.ndarray, inner: str, write) -> None:
+    """Write the item lines of a 1-D float64 array, ``_FLOAT_CHUNK`` at a time,
+    each distinct bit pattern of a chunk (so -0.0 and every NaN payload apart)
+    formatted once."""
+    sep = "[\n"
+    for start in range(0, len(values), _FLOAT_CHUNK):
+        chunk = values[start:start + _FLOAT_CHUNK].view(np.uint64)
+        bits, inverse = np.unique(chunk, return_inverse=True)
+        lines = np.array([f"{inner}{v:.12e}" for v in bits.view(np.float64).tolist()],
+                         dtype=object)
+        write(sep + ",\n".join(lines[inverse].tolist()))
+        sep = ",\n"
 
 
 def _write_json(obj, write, indent: int = 0) -> None:
@@ -61,15 +73,16 @@ def _write_json(obj, write, indent: int = 0) -> None:
             sep = ",\n"
         write(f"\n{pad}}}")
     elif isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj.tolist()) if isinstance(obj, np.ndarray) else obj
-        if not seq:
+        if not isinstance(obj, np.ndarray) and set(map(type, obj)) == {float}:
+            obj = np.array(obj)
+        if not len(obj):
             write("[]")
             return
-        if set(map(type, seq)) == {float}:
-            write(f"[\n{_float_block(seq, inner)}")
+        if isinstance(obj, np.ndarray) and obj.dtype == np.float64 and obj.ndim == 1:
+            _float_block(obj, inner, write)
         else:
             sep = "[\n"
-            for v in seq:
+            for v in obj.tolist() if isinstance(obj, np.ndarray) else obj:
                 write(f"{sep}{inner}")
                 _write_json(v, write, indent + 1)
                 sep = ",\n"
@@ -118,13 +131,37 @@ def to_csv(report: dict) -> str:
     return header + "\n" + ",".join(_format_scalar(flat[k]) for k in keys) + "\n"
 
 
+def _write_report(report: dict, fmt: str, fh) -> None:
+    if fmt == "csv":
+        fh.write(to_csv(report))
+    else:
+        _write_json(report, fh.write)
+        fh.write("\n")
+
+
 def emit_report(report: dict, path: str | None, fmt: str = "json") -> None:
-    """Write the report piece by piece to ``path``, or to stdout without one."""
+    """Write the report piece by piece to ``path``, or to stdout without one.
+
+    A new or regular file is written under a name beside ``path`` and renamed
+    onto it once whole, so a failed write leaves no partial report and any
+    earlier one intact; it gets the mode ``open(path, "w")`` would give it.
+    Other targets (a symlink such as /dev/stdout, a device) are written in place.
+    """
     if fmt not in ("json", "csv"):
         raise ValueError(f"unknown format {fmt!r}")
-    with open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout) as fh:
-        if fmt == "csv":
-            fh.write(to_csv(report))
-        else:
-            _write_json(report, fh.write)
-            fh.write("\n")
+    old = os.lstat(path) if path and os.path.lexists(path) else None
+    if not path or (old is not None and not stat.S_ISREG(old.st_mode)):
+        with open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout) as fh:
+            _write_report(report, fmt, fh)
+        return
+    part = f"{path}.{os.getpid()}.part"
+    fd = os.open(part, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # less the umask, as open()
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            if old is not None:
+                os.fchmod(fd, stat.S_IMODE(old.st_mode))
+            _write_report(report, fmt, fh)
+        os.replace(part, path)
+    except BaseException:
+        os.unlink(part)
+        raise

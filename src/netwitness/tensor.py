@@ -73,13 +73,9 @@ class Mat:
         )))
 
     def to_dict(self) -> dict:
-        """JSON form {dims, re, im}; entries row-major."""
+        """JSON form {dims, re, im}; entries row-major, as read-only float views."""
         flat = self.data.reshape(-1)
-        return {
-            "dims": list(self.dims),
-            "re": flat.real.tolist(),
-            "im": flat.imag.tolist(),
-        }
+        return {"dims": list(self.dims), "re": flat.real, "im": flat.imag}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "Mat":

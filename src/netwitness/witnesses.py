@@ -71,15 +71,8 @@ def check_lambda_vec(lam) -> tuple:
 
 
 def two_qubit_pt_witness() -> Witness:
-    """The two-qubit witness 0.5*1 - |psi-><psi-|, threshold 1/2.
-
-    Equals the partial transpose of the |phi+> projector entrywise.
-    """
-    psi_minus = np.zeros(4, dtype=complex)
-    psi_minus[1] = 1 / np.sqrt(2)
-    psi_minus[2] = -1 / np.sqrt(2)
-    m = np.eye(4) / 2 - np.outer(psi_minus, psi_minus.conj())
-    return Witness(Mat(m, (2, 2)), "two-qubit-pt", 0.5)
+    """The flip witness at d = 2: (|phi+><phi+|)^{T_B} = 0.5*1 - |psi-><psi-|."""
+    return decomposable_witness(DensityOperator(bell.bell_projector(2, 0, 0)))
 
 
 def decomposable_witness(q: DensityOperator) -> Witness:
@@ -214,12 +207,11 @@ def sep_floor_estimate(w, restarts: int = 64, iters: int = 200, rng_seed: int = 
     # W conditioned on b is _outer(b) @ t_b, on a it is _outer(a) @ t_a
     t_b = t.transpose(1, 3, 0, 2).reshape(db * db, da * da)
     t_a = t.transpose(0, 2, 1, 3).reshape(da * da, db * db)
-    rng = np.random.default_rng(rng_seed)
-    b = np.empty((restarts, db), dtype=complex)
-    for r in range(restarts):
-        rng.standard_normal((2, da))  # the starting a: the first half-step replaces it
-        v = rng.standard_normal(db) + 1j * rng.standard_normal(db)
-        b[r] = v / np.linalg.norm(v)
+    # per restart: the starting a (2 da normals; the first half-step replaces
+    # it), then the real and imaginary parts of the starting b
+    draw = np.random.default_rng(rng_seed).standard_normal((restarts, 2 * da + 2 * db))
+    b = draw[:, 2 * da:2 * da + db] + 1j * draw[:, 2 * da + db:]
+    b /= np.linalg.norm(b, axis=1, keepdims=True)
     # rows of b and prev hold the restarts still iterating; a finished
     # restart leaves them and its last value folds into best
     best = np.inf

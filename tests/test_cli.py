@@ -64,7 +64,7 @@ class TestProtocolRun:
         psi = np.array([0, 1, -1, 0]) / np.sqrt(2)
         mat = Mat(np.outer(psi, psi), (2, 2))
         path = tmp_path / "state.json"
-        path.write_text(json.dumps(mat.to_dict()))
+        path.write_text(canonical_json(mat.to_dict()))
         code, report = run_json(
             ["protocol", "run", "--family", "two-qubit", "--state-file", str(path)], capsys)
         assert code == 0
@@ -92,14 +92,14 @@ class TestProtocolRun:
     @pytest.mark.parametrize("dims", [[2.9, 2.2], ["2", "2"]], ids=["float", "str"])
     def test_non_integer_dims_in_state_file_is_usage_error(self, capsys, tmp_path, dims):
         path = tmp_path / "state.json"
-        path.write_text(json.dumps({**Mat(np.eye(4) / 4, (2, 2)).to_dict(), "dims": dims}))
+        path.write_text(canonical_json({**Mat(np.eye(4) / 4, (2, 2)).to_dict(), "dims": dims}))
         err = usage_error(["protocol", "run", "--family", "two-qubit",
                            "--state-file", str(path)], capsys)
         assert err.startswith("error: ") and "integer" in err
 
     def test_state_and_state_file_together_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "state.json"
-        path.write_text(json.dumps(Mat(np.eye(4) / 4, (2, 2)).to_dict()))
+        path.write_text(canonical_json(Mat(np.eye(4) / 4, (2, 2)).to_dict()))
         err = usage_error(["protocol", "run", "--family", "two-qubit",
                            "--state", "maximally-mixed", "--state-file", str(path)], capsys)
         assert "not allowed with argument" in err
@@ -156,7 +156,7 @@ def test_protocol_rejects_a_lambda_that_is_no_witness(capsys, tmp_path, command)
     # lambda = (0.1, 0.9) violates the cyclic inequality; unscreened, the run
     # would call the product state |00> "detected"
     path = tmp_path / "state.json"
-    path.write_text(json.dumps(Mat(np.diag([1.0, 0.0, 0.0, 0.0]), (2, 2)).to_dict()))
+    path.write_text(canonical_json(Mat(np.diag([1.0, 0.0, 0.0, 0.0]), (2, 2)).to_dict()))
     err = usage_error(["protocol", *command, "--family", "pbd", "--lambda", "0.1,0.9",
                        "--state-file", str(path)], capsys)
     assert "cyclic inequality violated" in err
@@ -274,7 +274,7 @@ class TestBuildCommands:
 
     def test_fidelity_with_state_file_is_usage_error(self, capsys, tmp_path):
         path = tmp_path / "state.json"
-        path.write_text(json.dumps(Mat(np.eye(4) / 4, (2, 2)).to_dict()))
+        path.write_text(canonical_json(Mat(np.eye(4) / 4, (2, 2)).to_dict()))
         err = usage_error(["protocol", "run", "--family", "two-qubit", "--state-file",
                            str(path), "--fidelity", "0.8"], capsys)
         assert err.startswith("error: ")

@@ -404,12 +404,26 @@ def old_graph_network(g, labels):
     return pairing(((1 / len(kets), v) for v in kets), (2,) * (2 * g.n))
 
 
+def old_ghz_ket(a=0, b=0, c=0):
+    """The hand-built GHZ kets that the star graph in a leaf frame replaced."""
+    t = np.zeros(8)
+    t[0] = t[7] = 1 / np.sqrt(2)
+    t = t.reshape(2, 2, 2).copy()
+    if a:
+        t[1, :, :] *= -1.0
+    if b:
+        t = t[:, ::-1, :]
+    if c:
+        t = t[:, :, ::-1]
+    return t.reshape(-1)
+
+
 def old_ghz_network_matrix():
     m = np.zeros((64, 64))
     for a in (0, 1):
         for b in (0, 1):
             for c in (0, 1):
-                v = ghz_ket(a, b, c)
+                v = old_ghz_ket(a, b, c)
                 p = np.outer(v, v)
                 m += np.kron(p, p) / 8
     return m
@@ -470,6 +484,18 @@ class TestAgainstOldCode:
         w = graph_witness(g, labels).mat.data
         assert w.tobytes() == old_graph_witness_matrix(g, labels).tobytes()
         assert graph_network(g, labels).data.tobytes() == old_graph_network(g, labels).data.tobytes()
+
+    def test_ghz_from_the_star_graph(self):
+        # the old a = 1 kets hold -0.0 where the leaf frame gives +0.0, so the
+        # kets agree as values; the target ket and the witness keep their bits
+        for label in itertools.product((0, 1), repeat=3):
+            assert np.array_equal(ghz_ket(*label), old_ghz_ket(*label))
+        v = old_ghz_ket()
+        assert ghz_ket().tobytes() == v.tobytes()
+        old_w = np.asarray(np.eye(8) / 2 - np.outer(v, v), dtype=complex)
+        assert ghz_witness().mat.data.tobytes() == old_w.tobytes()
+        with pytest.raises(ValueError, match="bit string"):
+            ghz_ket(2, 0, 0)
 
     def test_networks_bit_identical(self):
         g = cl4_graph()

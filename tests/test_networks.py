@@ -367,15 +367,6 @@ def test_recon_constant_must_be_positive():
 # the per-term certificate replaced serves as an oracle ---
 
 
-def old_two_qubit_matrix():
-    psi_minus = bell.bell_projector(2, 1, 1).data
-    phi_plus = bell.bell_projector(2, 0, 0).data
-    eye4 = np.eye(4)
-    return 0.25 * np.kron(psi_minus, phi_plus) + (1 / 12) * np.kron(
-        eye4 - psi_minus, eye4 - phi_plus
-    )
-
-
 def old_decomposable_matrix(q, lam=None):
     d = q.dims[0]
     wq = partial_transpose(q.mat, {1})
@@ -457,7 +448,8 @@ def assert_same_bits(got, expect):
 Q3 = random_state((3, 3), rng_seed=4, rank=1)
 
 FAMILIES = [
-    ("two-qubit", two_qubit_network, old_two_qubit_matrix),
+    ("flip2", lambda: flip_network(2),
+     lambda: old_decomposable_matrix(density(bell.bell_projector(2, 0, 0).data, (2, 2)), 1 / 2)),
     ("decomposable", lambda: decomposable_network(Q3), lambda: old_decomposable_matrix(Q3)),
     ("flip3", lambda: flip_network(3),
      lambda: old_decomposable_matrix(density(bell.bell_projector(3, 0, 0).data, (3, 3)), 1 / 3)),

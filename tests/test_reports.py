@@ -1,10 +1,13 @@
 import json
 import math
+import os
+import stat
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from netwitness import cli, protocol, tensor
+from netwitness import cli, networks, protocol, reports, tensor
 from netwitness.cli import FAMILIES, build_network, main
 from netwitness.reports import TOLERANCES, base_report, canonical_json, emit_report, to_csv
 from netwitness.states import random_state
@@ -106,6 +109,65 @@ class TestEmitReport:
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError, match="unknown format"):
             emit_report({}, str(tmp_path / "r.txt"), "xml")
+
+    def test_float_blocks_across_chunk_boundaries(self):
+        n = 3 * reports._FLOAT_CHUNK + 5
+        values = np.resize(np.array(SPECIALS), n)
+        mixed = np.empty(n, dtype=complex)
+        mixed.real, mixed.imag = values, values[::-1]
+        obj = {"array": values, "strided": mixed.imag, "list": values.tolist()}
+        assert canonical_json(obj) == _loop_json(obj)
+
+    def test_failed_write_leaves_no_partial_report(self, tmp_path):
+        # the writer raises on the object after some 200 kB of floats
+        bad = {"a": np.arange(10_000.0), "z": object()}
+        path = tmp_path / "r.json"
+        with pytest.raises(TypeError, match="unsupported report value"):
+            emit_report(bad, str(path))
+        assert list(tmp_path.iterdir()) == []
+        emit_report({"a": [0.5]}, str(path))
+        earlier = path.read_bytes()
+        with pytest.raises(TypeError, match="unsupported report value"):
+            emit_report(bad, str(path))
+        assert path.read_bytes() == earlier
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_keeps_the_permissions_of_a_plain_open(self, tmp_path):
+        umask = os.umask(0o022)
+        os.umask(umask)
+        path = tmp_path / "r.json"
+        emit_report({"a": 1}, str(path))
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask
+        path.chmod(0o640)
+        emit_report({"a": 2}, str(path))
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+        assert json.loads(path.read_text()) == {"a": 2}
+
+    def test_other_targets_are_written_in_place(self, capfd, tmp_path):
+        target = tmp_path / "target.json"
+        target.write_text("old")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        emit_report({"a": 1}, str(link))
+        assert link.is_symlink() and json.loads(target.read_text()) == {"a": 1}
+        emit_report({"a": 1}, "/dev/stdout")
+        assert capfd.readouterr().out == _loop_json({"a": 1}) + "\n"
+        emit_report({"a": 1}, os.devnull)
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+    def test_network_report_memory_is_bounded_by_the_state(self, tmp_path):
+        # the matrix goes out in chunks from the state's own array: no list of
+        # Python floats and no whole-block string
+        net = networks.bh_network(4)
+        tracemalloc.start()
+        try:
+            report = base_report("network build", {"family": "bh", "d": 4})
+            report["outputs"] = net.to_dict()
+            emit_report(report, str(tmp_path / "bh4.json"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * net.state.data.nbytes
 
 
 class TestCsv:

@@ -26,7 +26,7 @@ def test_reproduce_identities():
     assert lines[0].split() == ["family", "d", "eta", "recon_const", "max_error"]
     rows = [line.split() for line in lines[1:lines.index("")]]
     assert [row[0] for row in rows] == [
-        "two-qubit", "flip", "flip", "decomposable", "choi",
+        "flip", "flip", "decomposable", "choi",
         "reduction", "reduction", "smolin", "breuer-hall"]
     assert all(float(row[-1]) <= 1e-9 for row in rows)
     residuals = re.findall(r"worst \|LHS - \(1/(?:8|16) - tr\[rho W\]/(?:4|8)\)\| = (\S+)", out)

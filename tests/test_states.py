@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from netwitness import bell, witnesses
 from netwitness.networks import choi_network
 from netwitness.protocol import detect_exact
+from netwitness.reports import canonical_json
 from netwitness.states import (
     PPT_EIG_FLOOR,
     WITNESS_CUTOFF,
@@ -262,12 +263,13 @@ class TestChoiScanMatchesLoop:
     @pytest.mark.parametrize("resolution", [2, 3, 7, 10, 12, 40, 57, 80, 120])
     def test_bit_identical_to_point_loop(self, resolution):
         fast, ref = find_choi_detected_ppt(resolution, rng_seed=5), _loop_scan(resolution, 5)
-        assert fast.to_dict() == ref.to_dict()
+        # the report bytes, and every value in them exactly
+        assert canonical_json(fast.to_dict()) == canonical_json(ref.to_dict())
         assert fast.found == (resolution >= 7)
+        assert (fast.witness_value, fast.min_pt_eig) == (ref.witness_value, ref.min_pt_eig)
         if ref.found:
             assert fast.rho.data.tobytes() == ref.rho.data.tobytes()
             assert fast.p.tobytes() == ref.p.tobytes()
-            assert (fast.witness_value, fast.min_pt_eig) == (ref.witness_value, ref.min_pt_eig)
 
     @pytest.mark.parametrize("start", [(0.2, 0.15, 0.01), (0.1, 0.05, 0.01), (0.2, 0.15, 0.05)])
     def test_refine_matches_one_move_at_a_time(self, start):
