@@ -38,6 +38,8 @@ def main() -> None:
         reduction_network(3),
         smolin_network(),
         bh_network(4),
+        graphs.ghz_protocol(),
+        graphs.cl4_protocol(),
     ]
     print(f"{'family':<14} {'d':>2} {'eta':>10} {'recon_const':>14} {'max_error':>12}")
     for net in nets:
@@ -60,13 +62,12 @@ def main() -> None:
     print(f"  LHS for the singlet input        = {bell_overlap_raw(rho, net):.12f}")
 
     print("\nGHZ identity residuals (20 random states):")
-    ghz_net, ghz_w = graphs.ghz_network(), graphs.ghz_witness()
-    worst = max(
-        abs(graphs.multi_overlap_raw(random_state((2, 2, 2), rng_seed=s), ghz_net,
-                                     graphs.ghz_ket())
-            - (1 / 16 - ghz_w.expectation(random_state((2, 2, 2), rng_seed=s)) / 8))
-        for s in range(20)
-    )
+    ghz = graphs.ghz_protocol()
+    worst = 0.0
+    for seed in range(20):
+        rho = random_state((2, 2, 2), rng_seed=seed)
+        wexp = np.real(np.trace(ghz.witness.data @ rho.data))
+        worst = max(worst, abs(bell_overlap_raw(rho, ghz) - (1 / 16 - wexp / 8)))
     print(f"  worst |LHS - (1/16 - tr[rho W]/8)| = {worst:.3e}")
 
 

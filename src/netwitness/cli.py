@@ -114,7 +114,7 @@ STATES = {
 def _parse_lambda(text: str):
     try:
         values = tuple(float(Fraction(part.strip())) for part in text.split(","))
-    except ArithmeticError as exc:
+    except (ArithmeticError, ValueError) as exc:
         raise ValueError(f"invalid --lambda {text!r}: {exc}") from None
     return {"text": text, "values": list(values)}, values
 
@@ -253,13 +253,13 @@ def cmd_scan_choi(args) -> int:
 
 def cmd_graph_demo(args) -> int:
     rng_rho = states.random_state((2, 2, 2), rng_seed=args.seed)
-    (ghz_net, ghz_w, ghz), cluster = graphs.ghz_protocol(), graphs.cl4_protocol()[2]
-    ghz_rep = graphs.ghz_detect_exact(density(np.outer(ghz, ghz), (2,) * 3),
-                                      provenance={"state": "ghz"})
-    identity_residual = abs(graphs.multi_overlap_raw(rng_rho, ghz_net, ghz)
-                            - (1 / 16 - ghz_w.expectation(rng_rho) / 8))
-    cl4_rep = graphs.cl4_detect_exact(density(np.outer(cluster, cluster), (2,) * 4),
-                                      provenance={"state": "cl4-cluster"})
+    ghz, cl4 = graphs.ghz_protocol(), graphs.cl4_protocol()
+    ghz_rep = protocol.detect_exact(density(np.outer(ghz.target, ghz.target), ghz.layer), ghz,
+                                    provenance={"state": "ghz"})
+    wexp = float(np.real(np.trace(ghz.witness.data @ rng_rho.data)))
+    identity_residual = abs(protocol.bell_overlap_raw(rng_rho, ghz) - (1 / 16 - wexp / 8))
+    cl4_rep = protocol.detect_exact(density(np.outer(cl4.target, cl4.target), cl4.layer), cl4,
+                                    provenance={"state": "cl4-cluster"})
     passed = (
         ghz_rep.verdict == "detected"
         and cl4_rep.verdict == "detected"

@@ -17,6 +17,8 @@ tr[rho W] < 0 for the witness W = (1/2) sum_{x in S} |G_x><G_x| - |G_0><G_0|.
 Qubits are vertices 1..n; the joint protocol space is grouped by layer,
 (layer 1 vertices, layer 2 vertices, layer 3 vertices), and the Bell
 projector pairs vertex v of layer 1 with vertex v of layer 2.
+``graph_protocol`` packs N, W, eta = 1/2, the reconstruction constant 1/|S|
+and the target |G_0> into one ``networks.NetworkState``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import protocol
-from .tensor import DensityOperator, Mat, _index, _indices, _read_only, pairing
+from .networks import NetworkState
+from .tensor import DensityOperator, Mat, _index, _indices, pairing
 from .witnesses import Witness
 
 
@@ -144,25 +147,32 @@ def detect_multi_exact(rho: DensityOperator, net: DensityOperator, w: Witness,
     return protocol.detect_target(rho, net, w.mat, w.eta, target, provenance)[0]
 
 
+def graph_protocol(g: GraphSpec, labels) -> NetworkState:
+    """The protocol of ``graph_witness``: ``graph_network`` read out on |G_0>."""
+    labels = tuple(labels)
+    w = graph_witness(g, labels)
+    return NetworkState(graph_network(g, labels), w.eta, 1 / len(labels), w.family, w.mat,
+                        graph_basis_state(g, (0,) * g.n))
+
+
 # The protocol objects are immutable (Mat data and the target are read-only),
 # so each family is built and validated once per process.
 @functools.cache
-def ghz_protocol():
-    """(network, witness, target ket) of the GHZ protocol."""
-    return ghz_network(), ghz_witness(), _read_only(ghz_ket())
+def ghz_protocol() -> NetworkState:
+    """The GHZ protocol: the eight paired GHZ projectors read out on the GHZ ket."""
+    w = ghz_witness()
+    return NetworkState(ghz_network(), w.eta, 1 / 8, w.family, w.mat, ghz_ket())
 
 
 @functools.cache
-def cl4_protocol():
-    """(network, witness, target ket) of the four-qubit cluster protocol."""
-    g = cl4_graph()
-    return (graph_network(g, CL4_LABELS), graph_witness(g, CL4_LABELS),
-            _read_only(graph_basis_state(g, "0000")))
+def cl4_protocol() -> NetworkState:
+    """The four-qubit linear cluster protocol."""
+    return graph_protocol(cl4_graph(), CL4_LABELS)
 
 
 def ghz_detect_exact(rho: DensityOperator, provenance: dict | None = None):
-    return detect_multi_exact(rho, *ghz_protocol(), provenance=provenance)
+    return protocol.detect_exact(rho, ghz_protocol(), provenance=provenance)
 
 
 def cl4_detect_exact(rho: DensityOperator, provenance: dict | None = None):
-    return detect_multi_exact(rho, *cl4_protocol(), provenance=provenance)
+    return protocol.detect_exact(rho, cl4_protocol(), provenance=provenance)

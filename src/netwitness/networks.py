@@ -1,12 +1,13 @@
-"""Network states on sites (A2,B2,A3,B3) and the witness reconstruction map.
+"""Network states on two layers and the witness reconstruction map.
 
-A network state N is a four-factor state, separable across A2B2:A3B3 as
-certified per term (``tensor.mixture`` builds every family below as a convex
-sum of products across that cut, the paired ones through ``tensor.pairing``),
-such that contracting the A3B3 pair against (eta*1 - P_00) returns a
+A network state N on layers 2 and 3 of equal site dims (A2B2 and A3B3 for
+the families below, one qubit per vertex for ``graphs``) is separable across
+that cut as certified per term (``tensor.mixture`` builds every family as a
+convex sum of products across it, the paired ones through ``tensor.pairing``),
+such that contracting layer 3 against (eta*1 - |target><target|) returns a
 positive multiple of the transposed witness:
 
-    tr_3[N (eta*1 - P_00)_3] = recon_constant * W^T.
+    tr_3[N (eta*1 - |target><target|)_3] = recon_constant * W^T.
 """
 
 from __future__ import annotations
@@ -17,17 +18,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import bell
-from .tensor import (
-    EIGEN_INPUT_TOL,
-    DensityOperator,
-    Mat,
-    _pt_source,
-    density,
-    hermitian_part,
-    mixture,
-    pairing,
-    partial_transpose,
-)
+from .tensor import (DensityOperator, Mat, _pt_source, _read_only, density, hermitian_part,
+                     mixture, pairing, partial_transpose)
 from .witnesses import Witness, _bell_diagonal_matrix, _breuer_hall_paired, check_lambda_vec
 
 SITE_NAMES = ("A2", "B2", "A3", "B3")
@@ -35,10 +27,12 @@ SITE_NAMES = ("A2", "B2", "A3", "B3")
 
 @dataclass(frozen=True, eq=False)
 class NetworkState:
-    """A prepared resource state with its detection threshold.
+    """A prepared resource state with its detection threshold and readout ket.
 
     ``witness`` is the matrix whose transpose the reconstruction contraction
-    yields; ``recon_constant`` is the exact positive prefactor.
+    yields; ``recon_constant`` is the exact positive prefactor. ``target`` is
+    the read-only ket read out on the last layer; a layer of two equal sites
+    defaults to |phi_00>.
     """
 
     state: DensityOperator
@@ -46,16 +40,28 @@ class NetworkState:
     recon_constant: float
     family: str
     witness: Mat
+    target: np.ndarray | None = None
 
     def __post_init__(self):
-        if len(self.state.dims) != 4:
-            raise ValueError("network state must have four tensor factors")
+        dims, layer, target = self.state.dims, self.layer, self.target
+        if dims[: len(dims) // 2] != layer:
+            raise ValueError(f"network state dims {dims} are not two layers of equal site dims")
+        if target is None and layer == (self.d, self.d):
+            target = bell.bell_ket(self.d)
+        if np.shape(target) != (int(np.prod(layer)),):
+            raise ValueError(f"network target must be a ket on the layer {layer}")
+        object.__setattr__(self, "target", _read_only(np.array(target)))
         if self.recon_constant <= 0:
             raise ValueError("reconstruction constant must be positive")
 
     @property
     def d(self) -> int:
         return self.state.dims[0]
+
+    @property
+    def layer(self) -> tuple:
+        """Site dims of the last layer, which equal those of the first."""
+        return self.state.dims[len(self.state.dims) // 2:]
 
     def to_dict(self) -> dict:
         return {
@@ -247,23 +253,13 @@ def network_from_decomposition(w: Witness, eta: float, *,
     )
 
 
-def reconstruct_witness(n, eta: float | None = None) -> Mat:
-    """tr over (A3,B3) of N*(eta*1 - P_00 on A3B3); Hermitian output."""
-    if isinstance(n, NetworkState):
-        mat = n.state.mat
-        eta = n.eta if eta is None else eta
-    else:
-        mat = n.mat if isinstance(n, DensityOperator) else n
-        if eta is None:
-            raise ValueError("eta is required for a bare matrix")
-    if len(mat.dims) != 4:
-        raise ValueError("expected a four-factor state")
-    d2, d3 = mat.dims[0] * mat.dims[1], mat.dims[2] * mat.dims[3]
-    if mat.dims[2] != mat.dims[3]:
-        raise ValueError("A3 and B3 factors must have equal dimension")
-    p00 = bell.bell_projector(mat.dims[2], 0, 0).data
-    out = np.einsum("axby,yx->ab", mat.data.reshape(d2, d3, d2, d3), eta * np.eye(d3) - p00)
-    return Mat(hermitian_part(out), mat.dims[:2])
+def reconstruct_witness(n: NetworkState) -> Mat:
+    """tr over layer 3 of N*(eta*1 - |target><target| on layer 3); Hermitian output."""
+    t = n.target
+    side = len(t)
+    out = np.einsum("axby,yx->ab", n.state.data.reshape(side, side, side, side),
+                    n.eta * np.eye(side) - np.outer(t, t.conj()))
+    return Mat(hermitian_part(out), n.layer)
 
 
 # Side up to which ppt_report takes each partial transpose whole, as one
@@ -294,8 +290,9 @@ def _blocks(side: int, rows: np.ndarray, cols: np.ndarray) -> list:
             for size in np.unique(sizes)]
 
 
-def ppt_report(state) -> dict:
-    """Min eigenvalue of the partial transpose across all 7 bipartitions.
+def ppt_report(n: NetworkState) -> dict:
+    """Min eigenvalue of the partial transpose across all 7 bipartitions of
+    the four sites A2B2A3B3.
 
     Each Hermitized partial transpose is split into blocks that no nonzero
     entry couples. Only exact zeros separate them, so the matrix is exactly
@@ -311,16 +308,11 @@ def ppt_report(state) -> dict:
     costs more than it saves (all seven cuts of a d = 2 state take about
     0.4 ms whole against about 1 ms blocked on a 2-core Xeon with 1 BLAS
     thread), and one dense ``eigvalsh`` keeps the round-off digits of the
-    pinned d = 2 reports. A bare ``Mat`` is rejected, not hermitized, when
-    its hermiticity defect exceeds ``EIGEN_INPUT_TOL``.
+    pinned d = 2 reports.
     """
-    mat = state.state.mat if isinstance(state, NetworkState) else (
-        state.mat if isinstance(state, DensityOperator) else state
-    )
-    if mat is state and mat.hermiticity_defect() > EIGEN_INPUT_TOL:
-        raise ValueError(f"matrix is not Hermitian within {EIGEN_INPUT_TOL:g}")
+    mat = n.state.mat
     if len(mat.dims) != 4:
-        raise ValueError("expected a four-factor state")
+        raise ValueError(f"ppt_report needs layers of two sites, not {n.layer}")
     side = mat.side
     # the Hermitian part of a partial transpose is, entry for entry and bit for
     # bit, the partial transpose of the Hermitian part
@@ -331,9 +323,7 @@ def ppt_report(state) -> dict:
     for bits in range(7):
         subset = [0] + [i for i in range(1, 4) if bits & (1 << (i - 1))]
         rest = [i for i in range(4) if i not in subset]
-        label = "".join(SITE_NAMES[i] for i in subset) + ":" + "".join(
-            SITE_NAMES[i] for i in rest
-        )
+        label = ":".join("".join(SITE_NAMES[i] for i in part) for part in (subset, rest))
         if side <= DENSE_EIGVALSH_MAX_SIDE:
             stacks = [np.arange(side)[None]]
         else:

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from . import bell
 from .networks import NetworkState
 from .tensor import DensityOperator, Mat, _index, _read_only, density
 
@@ -106,26 +105,26 @@ def _readout(target, k: np.ndarray) -> float:
     return float(np.real(t.conj() @ k @ t))
 
 
-def _filtered_state(k: np.ndarray, trk: float, d: int) -> DensityOperator:
-    return density((k + k.conj().T) / (2 * trk), (d, d))
+def _filtered_state(k: np.ndarray, trk: float, layer: tuple) -> DensityOperator:
+    return density((k + k.conj().T) / (2 * trk), layer)
 
 
 def filtering_channel(rho: DensityOperator, n: NetworkState):
     """Post-selected teleportation of rho through the network state.
 
-    Returns (success probability, filtered state on the readout pair).
+    Returns (success probability, filtered state on the last layer).
     """
     k, trk = _contract(rho, n.state)
-    return trk / (n.d * n.d), _filtered_state(k, trk, n.d)
+    return trk / k.shape[0], _filtered_state(k, trk, n.layer)
 
 
 def bell_overlap_raw(rho: DensityOperator, n: NetworkState) -> float:
-    """<phi_00|K|phi_00> with K the unscaled teleport contraction.
+    """<target|K|target> with K the unscaled teleport contraction.
 
     This is the closed-form Bell-outcome probability; for the two-qubit
-    family it equals 1/8 - tr[rho W]/4.
+    family it equals 1/8 - tr[rho W]/4, for GHZ 1/16 - tr[rho W]/8.
     """
-    return target_overlap(rho, n.state, bell.bell_ket(n.d, 0, 0))
+    return target_overlap(rho, n.state, n.target)
 
 
 def target_overlap(rho: DensityOperator, net: DensityOperator, target) -> float:
@@ -189,7 +188,9 @@ def bell_outcome_distribution(rho: DensityOperator, n: NetworkState) -> np.ndarr
     Re sum_{i,e} rho[i, i+e] n2[i+x, i+x+e] omega^{z.e}: a cyclic correlation of
     shifted diagonals, then one two-site Fourier transform, in O(d^6) work.
     """
-    d = n.d
+    d, *rest = n.layer
+    if rest != [d]:
+        raise ValueError(f"Bell outcome tables need a layer of two equal sites, not {n.layer}")
     d2 = d * d
     shift, phase = _weyl_tables(d)
     n2 = np.trace(n.state.data.reshape(d2, d2, d2, d2), axis1=1, axis2=3)
@@ -213,13 +214,7 @@ def detect_exact(rho: DensityOperator, n: NetworkState, *,
     strict inequality; disagreement with the sign of tr[rho W] outside a
     1e-9 band around the threshold raises ConsistencyError.
     """
-    return _detect(rho, n, provenance)[0]
-
-
-def _detect(rho: DensityOperator, n: NetworkState, provenance):
-    """detect_exact's report together with the contraction K and tr K."""
-    return detect_target(rho, n.state, n.witness, n.eta,
-                         bell.bell_ket(n.d, 0, 0), provenance)
+    return detect_target(rho, n.state, n.witness, n.eta, n.target, provenance)[0]
 
 
 def detect_target(rho: DensityOperator, net: DensityOperator, wmat: Mat, eta: float,
@@ -281,7 +276,7 @@ def detect_shots(rho: DensityOperator, n: NetworkState, *, shots: int = 10000,
     shots = _index(shots, "shots")
     if not 1 <= shots <= MAX_SHOTS:
         raise ValueError(f"shots must lie in [1, {MAX_SHOTS}], not {shots}")
-    exact, k, trk = _detect(rho, n, provenance)
+    exact, k, trk = detect_target(rho, n.state, n.witness, n.eta, n.target, provenance)
     rng = np.random.default_rng(rng_seed)
     p = bell_outcome_distribution(rho, n).reshape(-1)
     p = np.clip(p, 0.0, None)
@@ -291,7 +286,7 @@ def detect_shots(rho: DensityOperator, n: NetworkState, *, shots: int = 10000,
     if n_post == 0:
         stats = ShotStats(shots, 0, None, None, None, rng_seed)
         return replace(exact, verdict="inconclusive", shots=stats)
-    q = measurement_circuit_probs(_filtered_state(k, trk, n.d)).reshape(-1)
+    q = measurement_circuit_probs(_filtered_state(k, trk, n.layer)).reshape(-1)
     q = np.clip(q, 0.0, None)
     q = q / q.sum()
     readout_counts = rng.multinomial(n_post, q)

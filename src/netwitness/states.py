@@ -17,6 +17,7 @@ from .witnesses import _bell_diagonal_matrix
 
 PPT_EIG_FLOOR = -1e-12
 WITNESS_CUTOFF = -1e-4
+MAX_CHOI_RESOLUTION = 2**14 - 1  # finer grids screen blocks of one row, over 2**14 points
 
 
 def isotropic_state(d: int, fidelity: float) -> DensityOperator:
@@ -122,12 +123,12 @@ def find_choi_detected_ppt(grid_resolution: int = 40, rng_seed: int = 0) -> Scan
     ((b + c) - hypot(b - c, 2a))/6). The witness value tr[W m] is (b - a)/3.
 
     ``_screen`` evaluates both closed forms on a simplex grid of step
-    1/resolution, a block of rows at a time, so memory does not grow with
-    the grid. Grid points with equal j - i (a = i step, b = j step) have
-    equal witness values in exact arithmetic, and those of the least
-    feasible j - i are the ties: the winner is the first of them in grid
-    order with the least witness value by the matrix route, tr[W m] with
-    m = sum_st p_st P_st, as a point-by-point scan would pick it.
+    1/resolution <= 1/MAX_CHOI_RESOLUTION, a block of rows at a time, so
+    memory does not grow with the grid. Grid points with equal j - i (a = i
+    step, b = j step) have equal witness values in exact arithmetic, and
+    those of the least feasible j - i are the ties: the winner is the first
+    of them in grid order with the least witness value by the matrix route,
+    tr[W m] with m = sum_st p_st P_st, as a point-by-point scan would pick it.
     ``_refine`` then lowers the screened witness value by step-halving
     moves, none of which ties with another (each moves b - a by at least
     the step). The result's p, state and witness value are built by the
@@ -137,9 +138,9 @@ def find_choi_detected_ppt(grid_resolution: int = 40, rng_seed: int = 0) -> Scan
     explicit not-found outcome.
     The search is deterministic; ``rng_seed`` is only echoed in the result.
     """
-    grid_resolution = _index(grid_resolution, "resolution")
-    if grid_resolution < 2:
-        raise ValueError("resolution must be >= 2")
+    n = grid_resolution = _index(grid_resolution, "resolution")
+    if not 2 <= n <= MAX_CHOI_RESOLUTION:
+        raise ValueError(f"resolution must lie in [2, {MAX_CHOI_RESOLUTION}], not {n}")
     wmat = _bell_diagonal_matrix((2 / 3, 1 / 3, 0.0)).data  # the Choi witness's matrix
     projs = _qutrit_bell_projectors()
     idx = np.arange(9)
@@ -158,7 +159,6 @@ def find_choi_detected_ppt(grid_resolution: int = 40, rng_seed: int = 0) -> Scan
         min_eig = np.linalg.eigvalsh(hermitian_part(pt))[:, 0]
         return w.reshape(-1, 3, 3), m, wval, min_eig
 
-    n = grid_resolution
     step = 1.0 / n
     j = np.arange(n + 1)
     rows = max(1, 2**14 // (n + 1))  # a block of about 2**14 grid points

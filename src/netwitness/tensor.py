@@ -17,8 +17,6 @@ import numpy as np
 
 # Structural validation (hermiticity, unit trace, positivity).
 STRUCTURAL_TOL = 1e-10
-# Hermiticity required of eigensolver inputs.
-EIGEN_INPUT_TOL = 1e-8
 
 
 def _index(value, what) -> int:
@@ -89,11 +87,17 @@ class Mat:
             raise ValueError(f"matrix JSON is missing key(s): {', '.join(missing)}")
         try:
             dims = tuple(operator.index(d) for d in obj["dims"])
-            flat = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(obj["im"], dtype=float)
+            re, im = (np.asarray(obj[key], dtype=float) for key in ("re", "im"))
         except TypeError as exc:
             raise ValueError(f"matrix JSON has a value of the wrong type: {exc}") from None
+        if any(isinstance(d, bool) for d in obj["dims"]):
+            raise ValueError(f"matrix JSON field dims must hold integers, not {obj['dims']!r}")
         side = int(np.prod(dims))
-        return cls(flat.reshape(side, side), dims)
+        for key, part in (("re", re), ("im", im)):
+            if part.shape != (side * side,):
+                raise ValueError(f"matrix JSON field {key} must list prod(dims)^2 = {side * side} "
+                                 f"numbers, not an array of shape {part.shape}")
+        return cls((re + 1j * im).reshape(side, side), dims)
 
 
 def _settle(m: Mat, data: np.ndarray, dims) -> None:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from netwitness import networks
+from netwitness import networks, states
 from netwitness.cli import FAMILIES, build_network, build_witness, main, ppt_expectations
 from netwitness.networks import ppt_report
 from netwitness.reports import canonical_json, to_csv
@@ -104,6 +104,22 @@ class TestProtocolRun:
                            "--state", "maximally-mixed", "--state-file", str(path)], capsys)
         assert "not allowed with argument" in err
 
+    @pytest.mark.parametrize("field, content, message", [
+        ("re", {"dims": [3, 3], "re": [1.0], "im": [0.0] * 81},
+         "matrix JSON field re must list prod(dims)^2 = 81 numbers, not an array of shape (1,)"),
+        ("im", {"dims": [2, 2], "re": [0.25] * 16, "im": [[0.0] * 4] * 4},
+         "matrix JSON field im must list prod(dims)^2 = 16 numbers, not an array of shape (4, 4)"),
+        ("dims", {"dims": [True, 2], "re": [1.0] * 4, "im": [0.0] * 4},
+         "matrix JSON field dims must hold integers, not [True, 2]"),
+    ], ids=["short-re", "nested-im", "boolean-dims"])
+    def test_malformed_state_file_names_the_field(self, capsys, tmp_path, field, content,
+                                                  message):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(content))
+        err = usage_error(["protocol", "run", "--family", "two-qubit",
+                           "--state-file", str(path)], capsys)
+        assert err == f"error: {message}\n"
+
     def test_unreadable_state_file_is_usage_error(self, capsys, tmp_path):
         err = usage_error(["protocol", "run", "--family", "two-qubit",
                            "--state-file", str(tmp_path)], capsys)
@@ -177,6 +193,17 @@ class TestVerify:
         assert report["inputs"]["lambda"]["text"] == "2/3,1/3,0"
         # values pass through the fixed %.12e report formatting
         assert abs(report["inputs"]["lambda"]["values"][0] - 2 / 3) <= 1e-12
+
+    @pytest.mark.parametrize("text, reason", [
+        ("nan,0.5", "Invalid literal for Fraction: 'nan'"),
+        ("0.5,,0.5", "Invalid literal for Fraction: ''"),
+        ("1/0,0", "Fraction(1, 0)"),
+    ], ids=["nan", "empty", "zero-denominator"])
+    def test_bad_lambda_names_the_flag(self, capsys, text, reason):
+        err = usage_error(["verify", "reconstruction", "--family", "pbd", "--lambda", text],
+                          capsys)
+        assert err.startswith(f"error: invalid --lambda {text!r}: ")
+        assert reason in err
 
     def test_lambda_zero_denominator_is_usage_error(self, capsys):
         err = usage_error(["verify", "reconstruction", "--family", "pbd", "--lambda", "1/0"],
@@ -336,6 +363,15 @@ class TestScanAndGraph:
         assert out["min_pt_eig"] >= -1e-12
         assert out["witness_value"] <= -1e-4
         assert out["protocol"]["verdict"] == "detected"
+
+    def test_scan_resolution_beyond_the_bound_is_usage_error(self, capsys, monkeypatch):
+        def screen(*args):
+            raise AssertionError("the scan started")
+        monkeypatch.setattr(states, "_screen", screen)
+        for resolution in ("16384", "100000000"):
+            err = usage_error(["scan", "choi-bound-entangled", "--resolution", resolution],
+                              capsys)
+            assert err == f"error: resolution must lie in [2, 16383], not {resolution}\n"
 
     def test_scan_not_found_exit_code(self, capsys):
         code, report = run_json(

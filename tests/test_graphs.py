@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from netwitness import graphs, protocol
+from netwitness import cli, graphs, protocol
 from netwitness.graphs import (
     CL4_LABELS,
     GraphSpec,
@@ -16,9 +16,11 @@ from netwitness.graphs import (
     ghz_witness,
     graph_basis_state,
     graph_network,
+    graph_protocol,
     graph_witness,
     multi_overlap_raw,
 )
+from netwitness.networks import ppt_report, reconstruct_witness
 from netwitness.states import random_state
 from netwitness.tensor import Mat, density, pairing
 from netwitness.witnesses import Witness
@@ -308,8 +310,8 @@ class TestGraphWitnessAndNetwork:
         assert graphs.cl4_detect_exact(rho).to_dict() == graphs.cl4_detect_exact(rho).to_dict()
         for build in (graphs.cl4_protocol, graphs.ghz_protocol):
             assert build() is build()
-            net, w, target = build()
-            for arr in (net.data, w.mat.data, target):
+            n = build()
+            for arr in (n.state.data, n.witness.data, n.target):
                 assert not arr.flags.writeable
 
     def test_cl4_proportionality_constant_stable(self):
@@ -521,9 +523,11 @@ class TestAgainstOldCode:
         for seed in range(10):
             rho = random_state((2,) * n, rng_seed=seed)
             prov = {"seed": seed}
+            old = old_detect_multi_exact(rho, net, w, target, provenance=prov).to_dict()
             got = graphs.detect_multi_exact(rho, net, w, target, provenance=prov)
-            assert got.to_dict() == old_detect_multi_exact(rho, net, w, target,
-                                                           provenance=prov).to_dict()
+            assert got.to_dict() == old
+            run = graphs.ghz_detect_exact if family == "ghz" else graphs.cl4_detect_exact
+            assert run(rho, provenance=prov).to_dict() == old
 
 
 class TestDetectMultiInputs:
@@ -542,6 +546,63 @@ class TestDetectMultiInputs:
         rho = density(np.eye(4) / 4, (2, 2))
         with pytest.raises(ValueError, match="do not match network"):
             multi_overlap_raw(rho, ghz_network(), ghz_ket())
+
+
+PATH5 = GraphSpec(5, ((1, 2), (2, 3), (3, 4), (4, 5)))
+ALL5 = tuple(itertools.product((0, 1), repeat=5))
+
+
+class TestGraphProtocol:
+    """The graph protocols as NetworkStates, run by the protocol routines."""
+
+    PROTOCOLS = [graphs.ghz_protocol, graphs.cl4_protocol, lambda: graph_protocol(PATH5, ALL5)]
+    IDS = ["ghz", "cl4", "path5-all"]
+
+    def test_fields(self):
+        n = graph_protocol(PATH5, iter(ALL5))  # labels read once
+        assert (n.eta, n.recon_constant, n.family, n.layer) == (0.5, 1 / 32, "graph", (2,) * 5)
+        assert n.target.tobytes() == graph_basis_state(PATH5, "00000").tobytes()
+        assert n.witness.data.tobytes() == graph_witness(PATH5, ALL5).mat.data.tobytes()
+        assert n.state.data.tobytes() == graph_network(PATH5, ALL5).data.tobytes()
+
+    @pytest.mark.parametrize("build", PROTOCOLS, ids=IDS)
+    def test_reconstruction(self, build):
+        n = build()
+        rec = reconstruct_witness(n)
+        assert rec.dims == n.layer
+        assert np.max(np.abs(rec.data - n.recon_constant * n.witness.data.T)) <= cli.RECON_TOL
+
+    @pytest.mark.parametrize("build", PROTOCOLS, ids=IDS)
+    def test_filtering_channel_agrees_with_detect_exact(self, build):
+        n = build()
+        for seed in range(5):
+            rho = random_state(n.layer, rng_seed=seed)
+            success, sigma = protocol.filtering_channel(rho, n)
+            rep = protocol.detect_exact(rho, n)
+            assert sigma.dims == n.layer
+            assert success == rep.success_prob
+            fraction = np.real(n.target.conj() @ sigma.data @ n.target)
+            assert abs(fraction - rep.singlet_fraction) <= 1e-15
+
+    def test_bell_overlap_is_the_raw_overlap(self):
+        n = graphs.cl4_protocol()
+        rho = random_state(n.layer, rng_seed=2)
+        assert protocol.bell_overlap_raw(rho, n) == protocol.detect_exact(rho, n).raw_overlap
+
+    @pytest.mark.parametrize("build", PROTOCOLS, ids=IDS)
+    def test_shots_need_two_site_layers(self, build):
+        n = build()
+        rho = random_state(n.layer, rng_seed=0)
+        message = rf"need a layer of two equal sites, not \({', '.join(['2'] * len(n.layer))}\)"
+        with pytest.raises(ValueError, match=message):
+            protocol.detect_shots(rho, n, shots=100)
+        with pytest.raises(ValueError, match=message):
+            protocol.bell_outcome_distribution(rho, n)
+
+    def test_ppt_report_needs_two_site_layers(self):
+        # its seven cuts are those of the four sites A2B2A3B3
+        with pytest.raises(ValueError, match=r"layers of two sites, not \(2, 2, 2\)"):
+            ppt_report(graphs.ghz_protocol())
 
 
 # --- exact oracles: the graph witness and network in rational arithmetic, from

@@ -38,6 +38,13 @@ from netwitness.witnesses import (
 )
 
 
+def as_network(state: DensityOperator, eta: float) -> NetworkState:
+    """A bare state on two equal two-site layers as a network; its witness is a
+    placeholder, since neither reconstruct_witness nor ppt_report reads it."""
+    d = state.dims[0]
+    return NetworkState(state, eta, 1.0, "bare", Mat(np.eye(d * d), (d, d)))
+
+
 def recon_error(net: NetworkState) -> float:
     rec = reconstruct_witness(net)
     return float(np.max(np.abs(rec.data - net.recon_constant * net.witness.data.T)))
@@ -217,16 +224,11 @@ class TestReconstructWitness:
         d = 2
         sigma = random_state((d, d), rng_seed=23)
         p00 = bell.bell_projector(d, 0, 0)
-        raw = Mat(np.kron(sigma.data, p00.data), (d,) * 4)
+        raw = density(np.kron(sigma.data, p00.data), (d,) * 4)
         eta = 1 - 1e-3
-        out = reconstruct_witness(raw, eta)
+        out = reconstruct_witness(as_network(raw, eta))
         assert np.max(np.abs(out.data - (eta - 1) * sigma.data)) <= 1e-12
         assert np.linalg.eigvalsh(out.data)[-1] <= 1e-12
-
-    def test_requires_eta_for_bare_matrix(self):
-        net = two_qubit_network()
-        with pytest.raises(ValueError, match="eta"):
-            reconstruct_witness(net.state.mat)
 
     def test_hermitian_output(self):
         out = reconstruct_witness(choi_network())
@@ -264,7 +266,7 @@ class TestPptReport:
         for k in kets[1:]:
             v = np.kron(v, k)
         v /= np.linalg.norm(v)
-        rep = ppt_report(proj(v, (2, 2, 2, 2)))
+        rep = ppt_report(as_network(DensityOperator(proj(v, (2, 2, 2, 2))), 0.5))
         assert all(val >= -1e-10 for val in rep.values())
 
 
@@ -310,32 +312,28 @@ def spy_eigvalsh_sides(monkeypatch) -> list:
 def test_tiny_coupling_is_not_dropped(monkeypatch):
     # d = 3: a random Hermitian matrix restricted to entries between indices of
     # equal digit-sum parity; every partial transpose keeps that parity, so
-    # each cut has two blocks, of 41 and 40
+    # each cut has two blocks, of 41 and 40. Shifted by a multiple of the
+    # identity and normalized it is a state with the same zero pattern.
     rng = np.random.default_rng(3)
     parity = np.indices((3,) * 4).reshape(4, -1).sum(axis=0) % 2
     g = rng.standard_normal((81, 81)) + 1j * rng.standard_normal((81, 81))
     h = np.where(parity[:, None] == parity[None, :], g + g.conj().T, 0)
-    sides = spy_eigvalsh_sides(monkeypatch)
-    ppt_report(Mat(h, (3,) * 4))
-    assert sorted(sides) == [40] * 7 + [41] * 7
+    h += (1 - np.linalg.eigvalsh(h)[0]) * np.eye(81)
+    split = as_network(density(h / np.trace(h).real, (3,) * 4), 1 / 3)
     # one coupling entry (and its mirror) across the parities joins them in every cut
     i, j = 0, 1
     assert parity[i] != parity[j]
     h[i, j] = h[j, i] = 1e-300
+    joined = as_network(density(h / np.trace(h).real, (3,) * 4), 1 / 3)
+    assert joined.state.data[i, j] != 0
+    sides = spy_eigvalsh_sides(monkeypatch)
+    ppt_report(split)
+    assert sorted(sides) == [40] * 7 + [41] * 7
     sides.clear()
-    rep = ppt_report(Mat(h, (3,) * 4))
+    rep = ppt_report(joined)
     assert sides == [81] * 7
     for cut, value in rep.items():
-        assert abs(value - dense_min_eigenvalue(Mat(h, (3,) * 4), cut)) <= 1e-14, cut
-
-
-def test_non_hermitian_bare_mat_rejected():
-    m = np.zeros((16, 16), dtype=complex)
-    m[0, 1] = 1.0
-    with pytest.raises(ValueError, match="not Hermitian"):
-        ppt_report(Mat(m, (2, 2, 2, 2)))
-    m[1, 0] = 1.0  # now Hermitian: taken as given
-    assert len(ppt_report(Mat(m, (2, 2, 2, 2)))) == 7
+        assert abs(value - dense_min_eigenvalue(joined.state.mat, cut)) <= 1e-14, cut
 
 
 def test_ppt_report_decomposes_no_block_larger_than_a_factor(monkeypatch):
@@ -487,10 +485,10 @@ def test_reconstruction_matches_dense_reference_on_families(name, build, old):
 @pytest.mark.parametrize("d", [2, 3])
 def test_reconstruction_matches_dense_reference_on_random_matrices(d):
     for seed in range(5):
-        mat = random_state((d,) * 4, rng_seed=seed).mat
+        state = random_state((d,) * 4, rng_seed=seed)
         for eta in (1 / d, 0.7):
-            got = reconstruct_witness(mat, eta)
-            expect = old_reconstruct(mat, eta)
+            got = reconstruct_witness(as_network(state, eta))
+            expect = old_reconstruct(state.mat, eta)
             assert got.dims == expect.dims == (d, d)
             assert np.max(np.abs(got.data - expect.data)) <= 1e-15
 
@@ -503,8 +501,42 @@ def test_pbd3_reported_reconstruction_error_unchanged():
 
 
 def test_reconstruction_rejects_non_four_factor_input():
-    with pytest.raises(ValueError, match="four-factor"):
-        reconstruct_witness(Mat(np.eye(4) / 4, (2, 2)), 0.5)
+    # a state that is not two layers of equal site dims never becomes a network
+    witness = Mat(np.eye(4), (2, 2))
+    for dims in ((2, 4), (2, 2, 2), (2, 3, 3, 2)):
+        side = int(np.prod(dims))
+        state = density(np.eye(side) / side, dims)
+        with pytest.raises(ValueError, match="not two layers of equal site dims"):
+            NetworkState(state, 0.5, 1.0, "broken", witness)
+
+
+class TestNetworkTarget:
+    def test_two_equal_sites_default_to_phi00_read_only(self):
+        for d in (2, 3):
+            net = flip_network(d)
+            assert net.layer == (d, d)
+            assert net.target.tobytes() == bell.bell_ket(d, 0, 0).tobytes()
+            assert not net.target.flags.writeable
+
+    def test_target_is_copied_and_read_only(self):
+        net = two_qubit_network()
+        ket = np.array([0, 1, 0, 0], dtype=complex)
+        custom = NetworkState(net.state, net.eta, 1.0, "custom", net.witness, ket)
+        ket[1] = 0
+        assert custom.target[1] == 1 and not custom.target.flags.writeable
+
+    def test_rejects_a_target_of_the_wrong_length(self):
+        net = two_qubit_network()
+        for target in (np.ones(2), np.ones(8), np.ones((4, 1))):
+            with pytest.raises(ValueError, match=r"ket on the layer \(2, 2\)"):
+                NetworkState(net.state, net.eta, 1.0, "broken", net.witness, target)
+
+    def test_other_layers_need_a_target(self):
+        # one-site layers and the three-qubit GHZ layer have no |phi_00>
+        witness = Mat(np.eye(8), (2, 2, 2))
+        for state in (density(np.eye(4) / 4, (2, 2)), graphs.ghz_network()):
+            with pytest.raises(ValueError, match="ket on the layer"):
+                NetworkState(state, 0.5, 1.0, "broken", witness)
 
 
 class TestMixtureCertificate:

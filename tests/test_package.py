@@ -47,6 +47,19 @@ def _names(tree, skip=None) -> set:
     return out
 
 
+def _public_definitions(node) -> list:
+    """The public names a module-level statement defines: a function, a class,
+    or the plain names an assignment binds (``TOL = 1e-9``)."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        names = [t.id for t in targets if isinstance(t, ast.Name)]
+    else:
+        names = []
+    return [name for name in names if not name.startswith("_")]
+
+
 def test_every_public_definition_has_a_caller():
     # a caller is code in src/ (outside the definition itself and __init__.py),
     # perfbench/ or scripts/; tests alone do not keep library code alive
@@ -56,11 +69,11 @@ def test_every_public_definition_has_a_caller():
     for p in sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py")):
         outside |= _names(ast.parse(p.read_text()))
     unused = [
-        f"{name}:{node.name}"
+        f"{name}:{defined}"
         for name, tree in trees.items()
         for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
-        and node.name not in outside
-        and not any(node.name in _names(t, node if n == name else None) for n, t in trees.items())
+        for defined in _public_definitions(node)
+        if defined not in outside
+        and not any(defined in _names(t, node if n == name else None) for n, t in trees.items())
     ]
     assert unused == []

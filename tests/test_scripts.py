@@ -27,7 +27,7 @@ def test_reproduce_identities():
     rows = [line.split() for line in lines[1:lines.index("")]]
     assert [row[0] for row in rows] == [
         "flip", "flip", "decomposable", "choi",
-        "reduction", "reduction", "smolin", "breuer-hall"]
+        "reduction", "reduction", "smolin", "breuer-hall", "ghz", "graph"]
     assert all(float(row[-1]) <= 1e-9 for row in rows)
     residuals = re.findall(r"worst \|LHS - \(1/(?:8|16) - tr\[rho W\]/(?:4|8)\)\| = (\S+)", out)
     assert len(residuals) == 2

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from netwitness import bell, witnesses
+from netwitness import bell, states, witnesses
 from netwitness.networks import choi_network
 from netwitness.protocol import detect_exact
 from netwitness.reports import canonical_json
 from netwitness.states import (
+    MAX_CHOI_RESOLUTION,
     PPT_EIG_FLOOR,
     WITNESS_CUTOFF,
     ScanResult,
@@ -166,6 +167,23 @@ class TestChoiScan:
                             lambda *a, **k: calls.append(a) or check(*a, **k))
         assert find_choi_detected_ppt(grid_resolution=40).found
         assert calls == []
+
+    @pytest.mark.parametrize("resolution", [MAX_CHOI_RESOLUTION + 1, 10**8])
+    def test_too_fine_a_grid_is_rejected_before_any_allocation(self, monkeypatch, resolution):
+        # on a finer grid one screen block would be a whole grid row; the
+        # screen must never start, and nothing the size of a row is allocated
+        def screen(*args):
+            raise AssertionError("the scan started")
+        monkeypatch.setattr(states, "_screen", screen)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"resolution must lie in \[2, 16383\]"):
+                find_choi_detected_ppt(grid_resolution=resolution)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+        assert 2**14 // (MAX_CHOI_RESOLUTION + 1) == 1  # the finest grid: one row per block
 
     def test_projector_stack_built_once(self, monkeypatch):
         find_choi_detected_ppt(grid_resolution=40)  # fills the cache

@@ -79,6 +79,16 @@ class TestMat:
         with pytest.raises(ValueError, match="integer"):
             Mat.from_dict(obj)
 
+    @pytest.mark.parametrize("obj, message", [
+        ({"dims": [2, 2], "re": [0.25], "im": [0.0] * 16}, r"field re must list .* 16 numbers"),
+        # a one-entry im once broadcast onto every entry
+        ({"dims": [2, 2], "re": [0.25] * 16, "im": [0.0]}, r"field im must list .* 16 numbers"),
+        ({"dims": [2, True], "re": [0.25] * 4, "im": [0.0] * 4}, "dims must hold integers"),
+    ], ids=["short-re", "short-im", "boolean-dims"])
+    def test_from_dict_names_the_malformed_field(self, obj, message):
+        with pytest.raises(ValueError, match=message):
+            Mat.from_dict(obj)
+
     @pytest.mark.parametrize("dims", [(2.9, 2.2), ("2", "2"), (2.0, 2)])
     def test_rejects_non_integer_dims(self, dims):
         with pytest.raises(ValueError, match="integers"):
