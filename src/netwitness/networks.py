@@ -18,11 +18,16 @@ from fractions import Fraction
 import numpy as np
 
 from . import bell
-from .tensor import (DensityOperator, Mat, _pt_source, _read_only, density, hermitian_part,
+from .tensor import (DensityOperator, Mat, _pt_shift, _read_only, density, hermitian_part,
                      mixture, pairing, partial_transpose)
 from .witnesses import Witness, _bell_diagonal_matrix, _breuer_hall_paired, check_lambda_vec
 
 SITE_NAMES = ("A2", "B2", "A3", "B3")
+# The 7 bipartitions: cut k transposes the sites i with bit i of 2k + 1 set,
+# the proper subsets that hold A2 (complements repeat spectra).
+_CUT_SITES = tuple(frozenset(i for i in range(4) if (2 * k + 1) >> i & 1) for k in range(7))
+CUT_LABELS = tuple(":".join("".join(SITE_NAMES[i] for i in range(4) if (i in c) == left)
+                            for left in (True, False)) for c in _CUT_SITES)
 
 
 @dataclass(frozen=True, eq=False)
@@ -291,8 +296,7 @@ def _blocks(side: int, rows: np.ndarray, cols: np.ndarray) -> list:
 
 
 def ppt_report(n: NetworkState) -> dict:
-    """Min eigenvalue of the partial transpose across all 7 bipartitions of
-    the four sites A2B2A3B3.
+    """Min eigenvalue of the partial transpose across the 7 cuts of A2B2A3B3.
 
     Each Hermitized partial transpose is split into blocks that no nonzero
     entry couples. Only exact zeros separate them, so the matrix is exactly
@@ -300,38 +304,35 @@ def ppt_report(n: NetworkState) -> dict:
     union of the blocks' spectra: the split is exact, not an approximation.
     The blocks are small because the network states' diagonal Weyl-phase
     symmetries survive partial transposition (at most 16 of 256 at d = 4,
-    108 of 1296 at d = 6). The partial transpose only permutes entries, so
-    the blocks are found from the state's own nonzero entries and gathered
-    from it; no full partial transpose is formed.
+    108 of 1296 at d = 6). A partial transpose only permutes entries, so one
+    block search over all seven cuts (cut k's nodes offset by k * side) runs
+    on the nonzero pattern of the state's Hermitian part; blocks of one size
+    share one stacked ``eigvalsh``, each gathered from the state and Hermitized.
 
-    Sides up to ``DENSE_EIGVALSH_MAX_SIDE`` are taken whole: there the search
-    costs more than it saves (all seven cuts of a d = 2 state take about
-    0.4 ms whole against about 1 ms blocked on a 2-core Xeon with 1 BLAS
-    thread), and one dense ``eigvalsh`` keeps the round-off digits of the
-    pinned d = 2 reports.
+    Sides up to ``DENSE_EIGVALSH_MAX_SIDE`` are taken whole, which costs less
+    than the search (d = 2: 0.12-0.18 ms against 0.20-0.27 ms on a 2-core
+    Xeon, 1 BLAS thread) and keeps the pinned d = 2 reports' round-off digits.
     """
     mat = n.state.mat
     if len(mat.dims) != 4:
         raise ValueError(f"ppt_report needs layers of two sites, not {n.layer}")
-    side = mat.side
-    # the Hermitian part of a partial transpose is, entry for entry and bit for
-    # bit, the partial transpose of the Hermitian part
-    herm = hermitian_part(mat.data)
-    rows, cols = np.nonzero(herm)
-    report = {}
-    # the 7 bipartitions = proper subsets containing site A2 (complements repeat spectra)
-    for bits in range(7):
-        subset = [0] + [i for i in range(1, 4) if bits & (1 << (i - 1))]
-        rest = [i for i in range(4) if i not in subset]
-        label = ":".join("".join(SITE_NAMES[i] for i in part) for part in (subset, rest))
-        if side <= DENSE_EIGVALSH_MAX_SIDE:
-            stacks = [np.arange(side)[None]]
-        else:
-            stacks = _blocks(side, *_pt_source(mat.dims, subset, rows, cols))
-        lowest = np.inf
-        for idx in stacks:  # one stacked eigvalsh per block size
-            i = idx[:, :, None]
-            pt = herm[_pt_source(mat.dims, subset, i, i.transpose(0, 2, 1))]
-            lowest = min(lowest, np.linalg.eigvalsh(pt)[:, 0].min())
-        report[label] = float(lowest)
-    return report
+    side, data = mat.side, mat.data
+    # shifts[k, i]: the digits of index i on the sites that cut k transposes
+    shifts = np.stack([_pt_shift(mat.dims, sites) for sites in _CUT_SITES])
+    offset = side * np.arange(len(shifts))[:, None]
+    if side <= DENSE_EIGVALSH_MAX_SIDE:
+        stacks = [offset + np.arange(side)]
+    else:
+        pairs = np.nonzero((data != 0) | (data.T != 0))
+        rows, cols = np.compress((data[pairs] + data.T[pairs].conj()) / 2 != 0, pairs, axis=1)
+        t = shifts[:, cols] - shifts[:, rows]  # [i, j] moves to [i + t, j - t]
+        stacks = _blocks(shifts.size, (offset + rows + t).ravel(), (offset + cols - t).ravel())
+    lowest = np.full(len(shifts), np.inf)
+    for idx in stacks:  # one stacked eigvalsh per block size
+        cut, i = np.divmod(idx, side)
+        s = shifts[cut, i]
+        src = (i - s)[:, :, None] + s[:, None, :]
+        # Hermitizing the gathered block gives the bits of gathering the Hermitian part
+        pt = hermitian_part(data[src, src.swapaxes(1, 2)])
+        np.minimum.at(lowest, cut[:, 0], np.linalg.eigvalsh(pt)[:, 0])
+    return dict(zip(CUT_LABELS, lowest.tolist()))

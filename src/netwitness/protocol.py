@@ -155,7 +155,9 @@ def measurement_circuit_probs(sigma: DensityOperator) -> np.ndarray:
     outcome probability, and [0, 0] equals the singlet fraction. The circuit
     maps |phi_st> to the computational ket |t, s>.
     """
-    d = sigma.dims[0]
+    d, *rest = sigma.dims
+    if rest != [d]:
+        raise ValueError(f"the readout circuit needs two equal sites, not dims {sigma.dims}")
     u = _readout_circuit(d)
     probs = np.real(np.diag(u @ sigma.data @ u.conj().T))
     return probs.reshape(d, d)

@@ -2,7 +2,7 @@
 
 Every operator carries an explicit list of tensor-factor dimensions, so
 partial transposes are unambiguous; every partial transpose in the package
-indexes through the one map of ``_pt_source``. Composite indices are
+indexes through the digit shifts of ``_pt_shift``. Composite indices are
 row-major with the leftmost factor most significant; all transposes are
 taken in the computational basis.
 """

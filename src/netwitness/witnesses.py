@@ -187,12 +187,12 @@ def _outer(v: np.ndarray) -> np.ndarray:
 def sep_floor_estimate(w, restarts: int = 64, iters: int = 200, rng_seed: int = 0) -> float:
     """Seesaw minimum of <a,b|W|a,b> over unit product vectors.
 
-    Alternately eigensolves the d x d operators obtained by conditioning W on
-    one side's current vector, for all restarts at once, each half-step one
-    matrix product of the restarts' outer products with W; a restart stops once
-    its value moves by less than SEESAW_STOP_TOL. Returns the lowest value over
-    restarts; deterministic for a given seed. Values below -1e-6 flag a
-    non-witness.
+    Alternately eigensolves the d x d operators obtained by conditioning W's
+    Hermitian part (all <a,b|W|a,b> sees; taken once) on one side's current
+    vector, for all restarts at once, each half-step one matrix product of the
+    restarts' outer products with it; a restart stops once its value moves by
+    less than SEESAW_STOP_TOL. Returns the lowest value over restarts,
+    deterministic for a given seed; values below -1e-6 flag a non-witness.
     """
     restarts, iters = _index(restarts, "restarts"), _index(iters, "iters")
     if restarts < 1:
@@ -203,7 +203,7 @@ def sep_floor_estimate(w, restarts: int = 64, iters: int = 200, rng_seed: int = 
     if len(mat.dims) != 2:
         raise ValueError("seesaw expects a bipartite operator")
     da, db = mat.dims
-    t = mat.data.reshape(da, db, da, db)
+    t = hermitian_part(mat.data).reshape(da, db, da, db)
     # W conditioned on b is _outer(b) @ t_b, on a it is _outer(a) @ t_a
     t_b = t.transpose(1, 3, 0, 2).reshape(db * db, da * da)
     t_a = t.transpose(0, 2, 1, 3).reshape(da * da, db * db)
@@ -217,14 +217,14 @@ def sep_floor_estimate(w, restarts: int = 64, iters: int = 200, rng_seed: int = 
     best = np.inf
     prev = np.full(restarts, np.inf)
     for _ in range(iters):
-        mb = (_outer(b) @ t_b).reshape(-1, da, da)
-        a = np.linalg.eigh(hermitian_part(mb))[1][:, :, 0]
-        ma = (_outer(a) @ t_a).reshape(-1, db, db)
-        vals, vecs = np.linalg.eigh(hermitian_part(ma))
+        a = np.linalg.eigh((_outer(b) @ t_b).reshape(-1, da, da))[1][:, :, 0]
+        vals, vecs = np.linalg.eigh((_outer(a) @ t_a).reshape(-1, db, db))
         b, val = vecs[:, :, 0], vals[:, 0]
         done = np.abs(prev - val) < SEESAW_STOP_TOL
-        best = np.min(val[done], initial=best)
-        b, prev = b[~done], val[~done]
+        if done.any():
+            best = min(best, val[done].min())
+            b, val = b[~done], val[~done]
+        prev = val
         if not prev.size:
             break
     return float(np.min(prev, initial=best))

@@ -6,8 +6,10 @@ import pytest
 
 from netwitness import bell, cli, graphs
 from netwitness.networks import (
+    DENSE_EIGVALSH_MAX_SIDE,
     SITE_NAMES,
     NetworkState,
+    _blocks,
     bh_network,
     choi_network,
     decomposable_network,
@@ -25,7 +27,9 @@ from netwitness.states import random_state
 from netwitness.tensor import (
     DensityOperator,
     Mat,
+    _pt_source,
     density,
+    hermitian_part,
     mixture,
     partial_transpose,
     proj,
@@ -298,34 +302,46 @@ def test_blocked_ppt_report_matches_dense_eigvalsh(net):
 
 
 def spy_eigvalsh_sides(monkeypatch) -> list:
+    """Record the side of every matrix eigvalsh solves, one entry per matrix of a stack."""
     sides = []
     real = np.linalg.eigvalsh
 
     def spy(a, *args, **kwargs):
-        sides.append(np.shape(a)[-1])
+        shape = np.shape(a)
+        sides.extend([shape[-1]] * int(np.prod(shape[:-2])))
         return real(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
     return sides
 
 
-def test_tiny_coupling_is_not_dropped(monkeypatch):
-    # d = 3: a random Hermitian matrix restricted to entries between indices of
-    # equal digit-sum parity; every partial transpose keeps that parity, so
-    # each cut has two blocks, of 41 and 40. Shifted by a multiple of the
-    # identity and normalized it is a state with the same zero pattern.
+PARITY_COUPLING = (0, 1)
+
+
+def parity_network(coupling=None) -> NetworkState:
+    """d = 3: a random Hermitian matrix restricted to entries between indices of
+    equal digit-sum parity; every partial transpose keeps that parity, so each
+    cut has two blocks, of 41 and 40. Shifted by a multiple of the identity and
+    normalized it is a state with the same zero pattern. ``coupling`` = (x, y)
+    sets entries [0, 1] and [1, 0], whose indices differ in parity, before the
+    normalization."""
     rng = np.random.default_rng(3)
     parity = np.indices((3,) * 4).reshape(4, -1).sum(axis=0) % 2
     g = rng.standard_normal((81, 81)) + 1j * rng.standard_normal((81, 81))
     h = np.where(parity[:, None] == parity[None, :], g + g.conj().T, 0)
     h += (1 - np.linalg.eigvalsh(h)[0]) * np.eye(81)
-    split = as_network(density(h / np.trace(h).real, (3,) * 4), 1 / 3)
-    # one coupling entry (and its mirror) across the parities joins them in every cut
-    i, j = 0, 1
+    i, j = PARITY_COUPLING
     assert parity[i] != parity[j]
-    h[i, j] = h[j, i] = 1e-300
-    joined = as_network(density(h / np.trace(h).real, (3,) * 4), 1 / 3)
-    assert joined.state.data[i, j] != 0
+    if coupling is not None:
+        h[i, j], h[j, i] = coupling
+    return as_network(density(h / np.trace(h).real, (3,) * 4), 1 / 3)
+
+
+def test_tiny_coupling_is_not_dropped(monkeypatch):
+    split = parity_network()
+    # one coupling entry (and its mirror) across the parities joins them in every cut
+    joined = parity_network((1e-300, 1e-300))
+    assert joined.state.data[PARITY_COUPLING] != 0
     sides = spy_eigvalsh_sides(monkeypatch)
     ppt_report(split)
     assert sorted(sides) == [40] * 7 + [41] * 7
@@ -334,6 +350,78 @@ def test_tiny_coupling_is_not_dropped(monkeypatch):
     assert sides == [81] * 7
     for cut, value in rep.items():
         assert abs(value - dense_min_eigenvalue(joined.state.mat, cut)) <= 1e-14, cut
+
+
+def test_pair_cancelling_in_the_hermitian_part_keeps_the_split(monkeypatch):
+    # entries [0, 1] and [1, 0] are nonzero, but the Hermitian part is exactly
+    # 0 there, so no partial transpose of it couples the two parities
+    cancelled = parity_network((1e-300, -1e-300))
+    data = cancelled.state.data
+    i, j = PARITY_COUPLING
+    assert data[i, j] != 0 and data[j, i] != 0
+    assert (data[i, j] + data[j, i].conj()) / 2 == 0
+    sides = spy_eigvalsh_sides(monkeypatch)
+    rep = ppt_report(cancelled)
+    assert sorted(sides) == [40] * 7 + [41] * 7
+    assert rep == per_cut_ppt_report(cancelled)
+
+
+def per_cut_ppt_report(n: NetworkState) -> dict:
+    """The per-cut profile that the one-pass ppt_report replaced: a dense
+    Hermitian copy, its nonzero pattern, then per cut one block search and one
+    eigvalsh per block size."""
+    mat = n.state.mat
+    side = mat.side
+    herm = hermitian_part(mat.data)
+    rows, cols = np.nonzero(herm)
+    report = {}
+    for bits in range(7):
+        subset = [0] + [i for i in range(1, 4) if bits & (1 << (i - 1))]
+        rest = [i for i in range(4) if i not in subset]
+        label = ":".join("".join(SITE_NAMES[i] for i in part) for part in (subset, rest))
+        if side <= DENSE_EIGVALSH_MAX_SIDE:
+            stacks = [np.arange(side)[None]]
+        else:
+            stacks = _blocks(side, *_pt_source(mat.dims, subset, rows, cols))
+        lowest = np.inf
+        for idx in stacks:
+            i = idx[:, :, None]
+            pt = herm[_pt_source(mat.dims, subset, i, i.transpose(0, 2, 1))]
+            lowest = min(lowest, np.linalg.eigvalsh(pt)[:, 0].min())
+        report[label] = float(lowest)
+    return report
+
+
+@pytest.fixture(scope="module")
+def bh6():
+    return bh_network(6)
+
+
+@pytest.mark.parametrize("net", list(ppt_oracle_cases()) + [
+    pytest.param(parity_network(), id="parity-split"),
+    pytest.param(parity_network((1e-300, 1e-300)), id="parity-joined"),
+])
+def test_one_pass_ppt_report_equals_the_per_cut_profile_bit_for_bit(net):
+    rep, want = ppt_report(net), per_cut_ppt_report(net)
+    assert list(rep) == list(want)
+    assert rep == want
+
+
+def test_one_pass_ppt_report_equals_the_per_cut_profile_bit_for_bit_bh6(bh6):
+    rep, want = ppt_report(bh6), per_cut_ppt_report(bh6)
+    assert list(rep) == list(want)
+    assert rep == want
+
+
+def test_ppt_report_peak_stays_below_one_state(bh6):
+    ppt_report(bh6)  # warm the cached digit shifts
+    tracemalloc.start()
+    try:
+        ppt_report(bh6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bh6.state.data.nbytes
 
 
 def test_ppt_report_decomposes_no_block_larger_than_a_factor(monkeypatch):

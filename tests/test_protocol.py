@@ -132,6 +132,12 @@ class TestMeasurementCircuit:
                 assert abs(probs[0, 0] - singlet_fraction(sigma)) <= 1e-12
                 assert abs(probs.sum() - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3)])
+    def test_rejects_a_state_not_on_two_equal_sites(self, dims):
+        sigma = random_state(dims, rng_seed=0)
+        with pytest.raises(ValueError, match=rf"two equal sites, not dims \({dims[0]}, "):
+            measurement_circuit_probs(sigma)
+
 
 class TestOverlapIdentity:
     def test_psi_minus_value(self):

@@ -336,6 +336,25 @@ class TestSepFloor:
             floor = sep_floor_estimate(w, rng_seed=seed)
             assert abs(floor - _seesaw_reference(w.mat, rng_seed=seed)) <= 1e-9
 
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            choi_witness,
+            lambda: breuer_hall_witness(4),
+            lambda: _random_hermitian((2, 3), 21),
+            lambda: _random_hermitian((3, 3), 24),
+        ],
+    )
+    def test_anti_hermitian_part_does_not_move_the_floor(self, factory):
+        # <a,b|W|a,b> sees only the Hermitian part of W, so a bare Mat with an
+        # anti-Hermitian part added is seesawed on the same operator
+        mat = factory().mat
+        g = np.random.default_rng(5).standard_normal((mat.side, mat.side, 2)) @ [1, 1j]
+        skewed = Mat(mat.data + 1e-3 * (g - g.conj().T) / 2, mat.dims)
+        for seed in (0, 3):
+            floor = sep_floor_estimate(mat, rng_seed=seed)
+            assert abs(sep_floor_estimate(skewed, rng_seed=seed) - floor) <= 1e-12
+
     @pytest.mark.parametrize("d", [2, 3])
     def test_below_random_product_states(self, d):
         rng = np.random.default_rng(40 + d)
