@@ -68,12 +68,8 @@ def _decomposable_network(d, lam, seed, eta):
     return networks.network_from_decomposition(w, eta, family=w.family)
 
 
-def _bell_state(d: int, s: int = 0, t: int = 0) -> DensityOperator:
-    v = bell.bell_ket(d, s, t)
-    return density(np.outer(v, v.conj()), (d, d))
-
-
-_FLIP = Family(2, lambda d, *_: witnesses.decomposable_witness(_bell_state(d)),
+_FLIP = Family(2, lambda d, *_: witnesses.decomposable_witness(
+                   DensityOperator(bell.bell_projector(d))),
                lambda d, *_: networks.flip_network(d), lambda d: _PPT_A2A3)
 # flip with d fixed at 2, so that _build rejects any other --d
 _TWO_QUBIT = Family(2, lambda d, *a: _FLIP.witness(2, *a), lambda d, *a: _FLIP.network(2, *a),
@@ -104,8 +100,8 @@ FAMILIES = {
 
 # name: (whether it takes --fidelity, builder(d, fidelity))
 STATES = {
-    "psi-minus": (False, lambda d, f: _bell_state(2, 1, 1)),
-    "phi-plus": (False, lambda d, f: _bell_state(d)),
+    "psi-minus": (False, lambda d, f: DensityOperator(bell.bell_projector(2, 1, 1))),
+    "phi-plus": (False, lambda d, f: DensityOperator(bell.bell_projector(d))),
     "maximally-mixed": (False, lambda d, f: density(np.eye(d * d) / (d * d), (d, d))),
     "isotropic": (True, states.isotropic_state),
 }

@@ -18,8 +18,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import bell
-from .tensor import (DensityOperator, Mat, _pt_shift, _read_only, density, hermitian_part,
-                     mixture, pairing, partial_transpose)
+from .tensor import (DensityOperator, Mat, _pt_shift, _read_only, hermitian_part, mixture,
+                     pairing, partial_transpose)
 from .witnesses import Witness, _bell_diagonal_matrix, _breuer_hall_paired, check_lambda_vec
 
 SITE_NAMES = ("A2", "B2", "A3", "B3")
@@ -78,13 +78,10 @@ class NetworkState:
         }
 
 
-@dataclass(frozen=True, eq=False)
-class DecompositionTerm:
-    """One term a_j * W_j^T of a witness split, with its paired readout operator."""
-
-    a: float
-    w: Mat
-    pi: Mat
+def _readouts(d: int) -> tuple:
+    """The fixed readout pair on a layer: P_00 and (1 - P_00)/(d^2 - 1)."""
+    p00 = bell.bell_projector(d, 0, 0).data
+    return p00, (np.eye(d * d) - p00) / (d * d - 1)
 
 
 def two_qubit_network() -> NetworkState:
@@ -115,9 +112,9 @@ def decomposable_network(q: DensityOperator, lam: float | None = None,
     eye = np.eye(d * d)
     first = hermitian_part((lam * eye - wqt) / (lam * d * d - 1))
     second = hermitian_part((lam * eye + wqt) / (lam * d * d + 1))
-    p00 = bell.bell_projector(d, 0, 0).data
+    p00, rest = _readouts(d)
     return NetworkState(
-        state=mixture([(c1, first, p00), (c2, second, (eye - p00) / (d * d - 1))], (d,) * 4),
+        state=mixture([(c1, first, p00), (c2, second, rest)], (d,) * 4),
         eta=1.0 / d,
         recon_constant=2 * (d - 1) / (d * denom),
         family=family,
@@ -127,7 +124,7 @@ def decomposable_network(q: DensityOperator, lam: float | None = None,
 
 def flip_network(d: int) -> NetworkState:
     """Network state for the flip witness F/d; spectral radius 1/d is exact."""
-    q = density(bell.bell_projector(d, 0, 0).data, (d, d))
+    q = DensityOperator(bell.bell_projector(d, 0, 0))
     return decomposable_network(q, lam=1.0 / d, family="flip")
 
 
@@ -182,7 +179,7 @@ def bh_network(d: int) -> NetworkState:
     c2 = 1 - c0 - c1
     assert c2 == Fraction((d - 1) ** 2, denom)
     fp = bell.twisted_flip(d).data
-    p00 = bell.bell_projector(d, 0, 0).data
+    p00, rest = _readouts(d)
     eye = np.eye(d * d)
     paired = pairing(((1 / (d * d), bell.bell_ket(d, s, t)) for s in range(d) for t in range(d)),
                      (d,) * 4)
@@ -190,7 +187,7 @@ def bh_network(d: int) -> NetworkState:
         state=mixture([
             (float(c0), paired),
             (float(c1), (eye + fp) / (d * d + d), p00),
-            (float(c2), (eye - fp) / (d * d - d), (eye - p00) / (d * d - 1)),
+            (float(c2), (eye - fp) / (d * d - d), rest),
         ], (d,) * 4),
         eta=1.0 / d,
         recon_constant=float(c0) / d**2,
@@ -209,7 +206,8 @@ def solve_decomposition(w: Witness, eta: float):
 
         a_j = k * c_j * (eta - <phi_00|Pi_j|phi_00>),  sum_j c_j = 1, k > 0,
 
-    and N = sum_j c_j Wn_j (x) Pi_j reconstructs W^T / k. Raises when a term's
+    and N = sum_j c_j Wn_j (x) Pi_j reconstructs W^T / k. Returns the
+    ``tensor.mixture`` terms (c_j, Wn_j, Pi_j) and k. Raises when a term's
     sign is incompatible with its Pi overlap, which rounding brings about
     only for eta within a few ulps of 1.
     """
@@ -217,40 +215,33 @@ def solve_decomposition(w: Witness, eta: float):
     if not (1.0 / d - 1e-12 <= eta < 1.0):
         raise ValueError("eta must lie in [1/d, 1)")
     phi = bell.bell_ket(d, 0, 0)
-    wt = w.mat.data.T
-    vals, vecs = np.linalg.eigh(hermitian_part(wt))
-    p00 = bell.bell_projector(d, 0, 0)
-    rest = Mat((np.eye(d * d) - p00.data) / (d * d - 1), (d, d))
-    terms = []
-    gaps = []
+    vals, vecs = np.linalg.eigh(hermitian_part(w.mat.data.T))
+    split = []  # (a_j, gap_j, Wn_j, Pi_j)
     k = 0.0
-    for mask, pi in ((vals < -1e-12, p00), (vals > 1e-12, rest)):
+    for mask, pi in zip((vals < -1e-12, vals > 1e-12), _readouts(d)):
         if not np.any(mask):
             continue
         block = (vecs[:, mask] * vals[mask]) @ vecs[:, mask].conj().T
         a = float(np.real(np.trace(block)))  # signed weight
-        wn = Mat(hermitian_part(block / a), w.mat.dims)
-        overlap_phi = float(np.real(phi.conj() @ pi.data @ phi))
+        overlap_phi = float(np.real(phi.conj() @ pi @ phi))
         gap = eta - overlap_phi
         if a * gap <= 0:
             want = "below" if a > 0 else "above"
             raise ValueError(
-                f"term {len(terms)} infeasible: coefficient {a:.6g} requires "
+                f"term {len(split)} infeasible: coefficient {a:.6g} requires "
                 f"<phi_00|Pi|phi_00> {want} eta={eta}, got {overlap_phi:.6g}"
             )
-        terms.append(DecompositionTerm(a=a, w=wn, pi=pi))
-        gaps.append(gap)
+        split.append((a, gap, hermitian_part(block / a), pi))
         k += a / gap
-    c = [t.a / (k * g) for t, g in zip(terms, gaps)]
-    return terms, c, float(k)
+    return [(a / (k * gap), wn, pi) for a, gap, wn, pi in split], float(k)
 
 
 def network_from_decomposition(w: Witness, eta: float, *,
                                family: str = "custom") -> NetworkState:
     """Assemble the solved decomposition into a network state."""
-    terms, c, k = solve_decomposition(w, eta)
+    terms, k = solve_decomposition(w, eta)
     return NetworkState(
-        state=mixture(((cj, t.w.data, t.pi.data) for cj, t in zip(c, terms)), w.mat.dims * 2),
+        state=mixture(terms, w.mat.dims * 2),
         eta=eta,
         recon_constant=1.0 / k,
         family=family,

@@ -10,6 +10,7 @@ taken in the computational basis.
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from dataclasses import dataclass
 
@@ -92,7 +93,7 @@ class Mat:
             raise ValueError(f"matrix JSON has a value of the wrong type: {exc}") from None
         if any(isinstance(d, bool) for d in obj["dims"]):
             raise ValueError(f"matrix JSON field dims must hold integers, not {obj['dims']!r}")
-        side = int(np.prod(dims))
+        side = math.prod(dims)
         for key, part in (("re", re), ("im", im)):
             if part.shape != (side * side,):
                 raise ValueError(f"matrix JSON field {key} must list prod(dims)^2 = {side * side} "
@@ -108,7 +109,7 @@ def _settle(m: Mat, data: np.ndarray, dims) -> None:
         raise ValueError("dims must be non-empty")
     if min(dims) < 2:
         raise ValueError("every tensor factor must have dimension >= 2")
-    side = int(np.prod(dims))
+    side = math.prod(dims)  # np.prod would wrap past int64
     if data.shape != (side, side):
         raise ValueError(f"matrix of shape {data.shape} does not match dims {dims}")
     data.setflags(write=False)

@@ -111,7 +111,11 @@ class TestProtocolRun:
          "matrix JSON field im must list prod(dims)^2 = 16 numbers, not an array of shape (4, 4)"),
         ("dims", {"dims": [True, 2], "re": [1.0] * 4, "im": [0.0] * 4},
          "matrix JSON field dims must hold integers, not [True, 2]"),
-    ], ids=["short-re", "nested-im", "boolean-dims"])
+        # a side that wraps to 0 in int64 once read this as an empty matrix
+        ("re", {"dims": [2**32, 2**32], "re": [], "im": []},
+         f"matrix JSON field re must list prod(dims)^2 = {2**128} numbers, "
+         "not an array of shape (0,)"),
+    ], ids=["short-re", "nested-im", "boolean-dims", "overflowing-dims"])
     def test_malformed_state_file_names_the_field(self, capsys, tmp_path, field, content,
                                                   message):
         path = tmp_path / "state.json"

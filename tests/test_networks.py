@@ -80,11 +80,14 @@ class TestTwoQubitNetwork:
 class TestSolveDecomposition:
     def test_two_qubit_weights(self):
         w = two_qubit_pt_witness()
-        terms, c, k = solve_decomposition(w, 0.5)
-        assert np.allclose(c, [0.25, 0.75], atol=1e-12)
+        terms, k = solve_decomposition(w, 0.5)
+        assert np.allclose([t[0] for t in terms], [0.25, 0.75], atol=1e-12)
         assert np.isclose(k, 4.0, atol=1e-12)
-        assert np.isclose(terms[0].a, -0.5, atol=1e-12)
-        assert np.isclose(terms[1].a, 1.5, atol=1e-12)
+        # the signed weights a_j = k * c_j * (eta - <phi_00|Pi_j|phi_00>)
+        phi = bell.bell_ket(2)
+        a = [k * cj * (0.5 - np.real(phi.conj() @ pi @ phi)) for cj, _, pi in terms]
+        assert np.isclose(a[0], -0.5, atol=1e-12)
+        assert np.isclose(a[1], 1.5, atol=1e-12)
 
     def test_explicit_pi_choices_reproduce_standard_network(self):
         # the fixed readouts P_00 and (1 - P_00)/3 give the standard mixture
@@ -112,13 +115,30 @@ class TestSolveDecomposition:
 
     def test_terms_are_psd_and_normalized(self):
         w = choi_witness()
-        terms, c, k = solve_decomposition(w, w.eta)
-        assert np.isclose(sum(c), 1.0, atol=1e-12)
+        terms, k = solve_decomposition(w, w.eta)
+        assert np.isclose(sum(t[0] for t in terms), 1.0, atol=1e-12)
         assert k > 0
         for term in terms:
-            assert np.linalg.eigvalsh(term.w.data)[0] >= -1e-10
-            assert np.isclose(np.trace(term.w.data), 1.0, atol=1e-10)
-            assert np.isclose(np.trace(term.pi.data), 1.0, atol=1e-10)
+            assert np.linalg.eigvalsh(term[1])[0] >= -1e-10
+            assert np.isclose(np.trace(term[1]), 1.0, atol=1e-10)
+            assert np.isclose(np.trace(term[2]), 1.0, atol=1e-10)
+
+    @pytest.mark.parametrize("d,eta", [(d, eta) for d in (2, 3, 4) for eta in (1 / d, 0.5, 0.7)])
+    def test_network_keeps_the_bits_of_the_wrapped_terms(self, d, eta):
+        # seeded decomposable witnesses: 5 seeds at each (d, eta)
+        for seed in range(5):
+            w = decomposable_witness(random_state((d, d), rng_seed=seed, rank=1))
+            self.assert_same_network(w, eta)
+
+    def test_choi_network_keeps_the_bits_of_the_wrapped_terms(self):
+        self.assert_same_network(choi_witness(), 0.8)
+
+    @staticmethod
+    def assert_same_network(w, eta):
+        net = network_from_decomposition(w, eta)
+        state, recon = wrapped_decomposition_network(w, eta)
+        assert_same_bits(net.state.data, state.data)
+        assert net.recon_constant == recon
 
 
 class TestDecomposableNetwork:
@@ -506,12 +526,36 @@ def old_bh_matrix(d):
 
 
 def old_decomposition_matrix(w, eta):
-    terms, c, _ = solve_decomposition(w, eta)
+    terms, _ = solve_decomposition(w, eta)
     d = w.d
     n = np.zeros((d**4, d**4), dtype=complex)
-    for cj, term in zip(c, terms):
-        n += cj * np.kron(term.w.data, term.pi.data)
+    for term in terms:
+        n += term[0] * np.kron(term[1], term[2])
     return n
+
+
+def wrapped_decomposition_network(w, eta):
+    """The split as solved when each term was a record of its signed weight and
+    Mat-wrapped operators, with the weights and gaps in parallel lists, read
+    back into ``mixture`` term by term; returns the state and 1 / k."""
+    d = w.d
+    phi = bell.bell_ket(d, 0, 0)
+    vals, vecs = np.linalg.eigh(hermitian_part(w.mat.data.T))
+    p00 = bell.bell_projector(d, 0, 0)
+    rest = Mat((np.eye(d * d) - p00.data) / (d * d - 1), (d, d))
+    terms, gaps, k = [], [], 0.0
+    for mask, pi in ((vals < -1e-12, p00), (vals > 1e-12, rest)):
+        if not np.any(mask):
+            continue
+        block = (vecs[:, mask] * vals[mask]) @ vecs[:, mask].conj().T
+        a = float(np.real(np.trace(block)))
+        gaps.append(eta - float(np.real(phi.conj() @ pi.data @ phi)))
+        terms.append((a, Mat(hermitian_part(block / a), w.mat.dims), pi))
+        k += a / gaps[-1]
+    c = [a / (k * g) for (a, _, _), g in zip(terms, gaps)]
+    state = mixture(((cj, wn.data, pi.data) for cj, (_, wn, pi) in zip(c, terms)),
+                    w.mat.dims * 2)
+    return state, 1.0 / float(k)
 
 
 def old_reconstruct(mat, eta):

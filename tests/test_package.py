@@ -77,3 +77,19 @@ def test_every_public_definition_has_a_caller():
         and not any(defined in _names(t, node if n == name else None) for n, t in trees.items())
     ]
     assert unused == []
+
+
+def test_src_imports_only_the_stdlib_and_numpy():
+    # scipy and pytest-benchmark may be installed, but the package declares numpy only
+    foreign = []
+    for p in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(p.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{p.name}:{name}" for name in names
+                        if name.split(".")[0] not in sys.stdlib_module_names | {"numpy"}]
+    assert foreign == []

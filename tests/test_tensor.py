@@ -44,6 +44,11 @@ class TestMat:
         with pytest.raises(ValueError):
             Mat(np.eye(3), (2, 2))
 
+    def test_dims_whose_product_overflows_int64(self):
+        # 2**32 * 2**32 wraps to 0 in int64, which once let an empty matrix through
+        with pytest.raises(ValueError, match="does not match dims"):
+            Mat(np.zeros((0, 0)), (2**32, 2**32))
+
     def test_dims_nonempty_and_at_least_two(self):
         with pytest.raises(ValueError):
             Mat(np.eye(1), ())
@@ -84,7 +89,8 @@ class TestMat:
         # a one-entry im once broadcast onto every entry
         ({"dims": [2, 2], "re": [0.25] * 16, "im": [0.0]}, r"field im must list .* 16 numbers"),
         ({"dims": [2, True], "re": [0.25] * 4, "im": [0.0] * 4}, "dims must hold integers"),
-    ], ids=["short-re", "short-im", "boolean-dims"])
+        ({"dims": [2**32, 2**32], "re": [], "im": []}, rf"field re must list .* {2**128} numbers"),
+    ], ids=["short-re", "short-im", "boolean-dims", "overflowing-dims"])
     def test_from_dict_names_the_malformed_field(self, obj, message):
         with pytest.raises(ValueError, match=message):
             Mat.from_dict(obj)
