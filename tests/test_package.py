@@ -80,7 +80,7 @@ def test_every_public_definition_has_a_caller():
 
 
 def test_src_imports_only_the_stdlib_and_numpy():
-    # scipy and pytest-benchmark may be installed, but the package declares numpy only
+    # pyproject.toml declares numpy as the one dependency outside the stdlib
     foreign = []
     for p in sorted(PACKAGE.glob("*.py")):
         for node in ast.walk(ast.parse(p.read_text())):
