@@ -1,4 +1,4 @@
-"""Generalized Bell states, flip operators, and the skew-unitary twisted flip.
+"""Generalized Bell states and the twisted flip.
 
 Conventions: omega = exp(+2*pi*i/d); ket labels wrap with least non-negative
 residues mod d.
@@ -42,37 +42,17 @@ def bell_row_projector(d: int, s: int) -> Mat:
     return Mat(m, (d, d))
 
 
-def flip_operator(d: int) -> Mat:
-    """Swap operator: F|i,j> = |j,i>."""
-    if d < 2:
-        raise ValueError("dimension must be >= 2")
-    m = np.zeros((d * d, d * d))
-    for i in range(d):
-        for j in range(d):
-            m[i * d + j, j * d + i] = 1.0
-    return Mat(m, (d, d))
-
-
-def skew_unitary(d: int) -> np.ndarray:
-    """Real unitary with U^T = -U, a direct sum of 2x2 blocks [[0,1],[-1,0]].
-
-    Acts on basis kets as U|2m> = -|2m+1>, U|2m+1> = |2m>.
-    """
-    if d % 2:
-        raise ValueError("skew-symmetric unitary requires even dimension")
-    u = np.zeros((d, d))
-    for m in range(d // 2):
-        u[2 * m, 2 * m + 1] = 1.0
-        u[2 * m + 1, 2 * m] = -1.0
-    return u
-
-
 def twisted_flip(d: int) -> Mat:
-    """The flip conjugated by the skew unitary on the second factor.
+    """The flip F|i,j> = |j,i> conjugated by a skew unitary on the second factor.
 
-    (1 (x) U) F (1 (x) U^dag); Hermitian, squares to the identity.
+    (1 (x) U) F (1 (x) U^dag), with U|2m> = -|2m+1> and U|2m+1> = |2m>, is the
+    signed permutation |i, j> -> s |j^1, i^1>, where ^1 flips the lowest bit
+    and s = -1 exactly when i and j have the same parity; Hermitian, squares
+    to the identity.
     """
-    u = skew_unitary(d)
-    iu = np.kron(np.eye(d), u)
-    return Mat(iu @ flip_operator(d).data @ iu.conj().T, (d, d))
-
+    if d % 2 or d < 2:
+        raise ValueError("the twisted flip requires an even dimension >= 2")
+    i, j = np.divmod(np.arange(d * d), d)
+    m = np.zeros((d * d, d * d))
+    m[(j ^ 1) * d + (i ^ 1), i * d + j] = np.where((i - j) % 2, 1.0, -1.0)
+    return Mat(m, (d, d))

@@ -151,7 +151,10 @@ def _load_state(args, d: int) -> DensityOperator:
         raise ValueError(f"--fidelity {rule} {source}")
     if make is None:
         with open(args.state_file, encoding="utf-8") as fh:
-            return DensityOperator(Mat.from_dict(json.load(fh)))
+            try:
+                return DensityOperator(Mat.from_dict(json.load(fh)))
+            except RecursionError:  # not RuntimeError: protocol.ConsistencyError is one
+                raise ValueError(f"--state-file {args.state_file} nests too deeply") from None
     return make(d, args.fidelity)
 
 

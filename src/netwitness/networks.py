@@ -12,6 +12,7 @@ positive multiple of the transposed witness:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -53,7 +54,7 @@ class NetworkState:
             raise ValueError(f"network state dims {dims} are not two layers of equal site dims")
         if target is None and layer == (self.d, self.d):
             target = bell.bell_ket(self.d)
-        if np.shape(target) != (int(np.prod(layer)),):
+        if np.shape(target) != (math.prod(layer),):
             raise ValueError(f"network target must be a ket on the layer {layer}")
         object.__setattr__(self, "target", _read_only(np.array(target)))
         if self.recon_constant <= 0:

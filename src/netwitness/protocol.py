@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
+from . import bell
 from .networks import NetworkState
 from .tensor import DensityOperator, Mat, _index, _read_only, density
 
@@ -133,27 +134,13 @@ def target_overlap(rho: DensityOperator, net: DensityOperator, target) -> float:
     return _readout(target, _teleport(rho, net))
 
 
-def qudit_hadamard(d: int) -> np.ndarray:
-    """Unitary discrete Fourier matrix d^{-1/2} sum_jk omega^{jk} |j><k|."""
-    j, k = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
-    return np.exp(2j * np.pi * j * k / d) / np.sqrt(d)
-
-
-def qudit_cnot(d: int) -> np.ndarray:
-    """sum_j |j><j| (x) sum_k |k+j mod d><k|."""
-    m = np.zeros((d * d, d * d))
-    for j in range(d):
-        for kk in range(d):
-            m[j * d + (kk + j) % d, j * d + kk] = 1.0
-    return m
-
-
 def measurement_circuit_probs(sigma: DensityOperator) -> np.ndarray:
     """Computational-basis outcome table after undoing the Bell-pair circuit.
 
     Applies (H^dag (x) 1) CNOT^dag and reads both sites; entry [j, k] is the
     outcome probability, and [0, 0] equals the singlet fraction. The circuit
-    maps |phi_st> to the computational ket |t, s>.
+    maps each Bell ket to a computational one, (H^dag (x) 1) CNOT^dag |phi_st>
+    = |t, s>, so entry [t, s] is <phi_st|sigma|phi_st>.
     """
     d, *rest = sigma.dims
     if rest != [d]:
@@ -165,8 +152,9 @@ def measurement_circuit_probs(sigma: DensityOperator) -> np.ndarray:
 
 @functools.cache
 def _readout_circuit(d: int) -> np.ndarray:
-    """Read-only (H^dag (x) 1) CNOT^dag on two qudits."""
-    return _read_only(np.kron(qudit_hadamard(d).conj().T, np.eye(d)) @ qudit_cnot(d).T)
+    """Read-only (H^dag (x) 1) CNOT^dag on two qudits: row (t, s) is <phi_st|."""
+    rows = [bell.bell_ket(d, s, t).conj() for t in range(d) for s in range(d)]
+    return _read_only(np.array(rows))
 
 
 @functools.cache

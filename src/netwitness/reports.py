@@ -73,8 +73,6 @@ def _write_json(obj, write, indent: int = 0) -> None:
             sep = ",\n"
         write(f"\n{pad}}}")
     elif isinstance(obj, (list, tuple, np.ndarray)):
-        if not isinstance(obj, np.ndarray) and set(map(type, obj)) == {float}:
-            obj = np.array(obj)
         if not len(obj):
             write("[]")
             return

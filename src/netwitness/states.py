@@ -6,6 +6,7 @@ with weights (2/3, 1/3, 0).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +33,7 @@ def isotropic_state(d: int, fidelity: float) -> DensityOperator:
 def random_state(dims, rng_seed: int, rank: int | None = None) -> DensityOperator:
     """Full-rank (by default) random mixed state from a Ginibre matrix."""
     dims = _indices(dims, "dims")
-    dim = int(np.prod(dims))
+    dim = math.prod(dims)  # np.prod would wrap past int64
     rank = dim if rank is None else _index(rank, "rank")
     if rank < 1:
         raise ValueError(f"rank must be >= 1, not {rank}")

@@ -208,7 +208,7 @@ def mixture(terms, dims) -> DensityOperator:
     finite, Hermitian and unit-trace checks of DensityOperator.
     """
     dims = _indices(dims, "dims")
-    side = int(np.prod(dims))
+    side = math.prod(dims)
     checked = [_mixture_term(term, dims, side) for term in terms]
     if not checked:
         raise ValueError("mixture needs at least one term")
@@ -277,7 +277,7 @@ def proj(ket, dims) -> Mat:
 @functools.cache
 def _pt_shift(dims: tuple, subset: frozenset) -> np.ndarray:
     """Read-only s[i]: the part of composite index i on the factors in ``subset``."""
-    side = int(np.prod(dims))
+    side = math.prod(dims)
     digits = np.indices(dims).reshape(len(dims), side)
     place = side // np.cumprod(dims)
     factors = sorted(subset)

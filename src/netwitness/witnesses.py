@@ -32,6 +32,9 @@ class Witness:
     lambda_vec: tuple | None = None
 
     def __post_init__(self):
+        # every comparison against NaN is False, so the checks below would pass
+        if not np.isfinite(self.mat.data).all():
+            raise ValueError(f"{self.family} witness matrix has a non-finite entry")
         if self.mat.hermiticity_defect() > STRUCTURAL_TOL:
             raise ValueError(f"{self.family} witness matrix is not Hermitian")
         if float(np.linalg.eigvalsh(self.mat.data)[0]) >= -NEGATIVITY_TOL:
@@ -141,10 +144,6 @@ class CyclicCheckResult:
     worst_value: float
     worst_t: tuple
     bound: float
-
-    @property
-    def margin(self) -> float:
-        return self.bound - self.worst_value
 
 
 def cyclic_inequality_check(lam, trials: int = 10000, rng_seed: int = 0) -> CyclicCheckResult:

@@ -266,6 +266,6 @@ def test_acceptance_11_cyclic_inequality():
     with criterion(11, "cyclic inequality: Choi weights pass, (0,1,0) fails"):
         res = cyclic_inequality_check((2 / 3, 1 / 3, 0.0), trials=10**4, rng_seed=0)
         assert res.passed
-        assert res.margin >= -1e-9
+        assert res.bound - res.worst_value >= -1e-9
         bad = cyclic_inequality_check((0.0, 1.0, 0.0), trials=10**4, rng_seed=0)
         assert not bad.passed

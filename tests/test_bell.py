@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from netwitness import bell
-from netwitness.tensor import partial_transpose
+from netwitness.tensor import Mat, partial_transpose
 
 
 def test_bell_ket_d2_phi_plus():
@@ -77,9 +77,30 @@ def test_transpose_maps_t_to_minus_t(d):
             assert np.max(np.abs(pt - other)) <= 1e-12
 
 
+def flip(d):
+    """Swap operator F|i,j> = |j,i>: the reference that the twisted flip conjugates."""
+    m = np.zeros((d * d, d * d))
+    for i in range(d):
+        for j in range(d):
+            m[i * d + j, j * d + i] = 1.0
+    return m
+
+
+def skew(d):
+    """Real unitary with U^T = -U, a direct sum of 2x2 blocks [[0,1],[-1,0]].
+
+    Acts on basis kets as U|2m> = -|2m+1>, U|2m+1> = |2m>.
+    """
+    u = np.zeros((d, d))
+    for m in range(d // 2):
+        u[2 * m, 2 * m + 1] = 1.0
+        u[2 * m + 1, 2 * m] = -1.0
+    return u
+
+
 class TestFlip:
     def test_action_on_basis(self):
-        f = bell.flip_operator(3).data
+        f = flip(3)
         for i in range(3):
             for j in range(3):
                 v = np.zeros(9)
@@ -88,12 +109,12 @@ class TestFlip:
                 assert out[j * 3 + i] == 1
 
     def test_squares_to_identity(self):
-        f = bell.flip_operator(4).data
+        f = flip(4)
         assert np.array_equal(f @ f, np.eye(16))
 
     def test_equals_d_times_pt_of_p00(self):
         for d in (2, 3, 4):
-            lhs = bell.flip_operator(d).data
+            lhs = flip(d)
             rhs = d * partial_transpose(bell.bell_projector(d, 0, 0), {1}).data
             assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
@@ -101,16 +122,16 @@ class TestFlip:
         # tr F = d: the symmetric and antisymmetric projectors (1 +/- F)/2
         # have traces d(d+1)/2 and d(d-1)/2
         for d in (2, 3, 4):
-            assert np.trace(bell.flip_operator(d).data) == d
+            assert np.trace(flip(d)) == d
 
     def test_projectors_orthogonal_and_complete(self):
-        f = bell.flip_operator(3).data
+        f = flip(3)
         s, a = (np.eye(9) + f) / 2, (np.eye(9) - f) / 2
         assert np.max(np.abs(s @ a)) <= 1e-12
         assert np.allclose(s + a, np.eye(9))
 
     def test_eigen_split_matches_projectors(self):
-        f = bell.flip_operator(3).data
+        f = flip(3)
         vals, vecs = np.linalg.eigh(f)
         minus = vecs[:, vals < 0]
         plus = vecs[:, vals > 0]
@@ -120,20 +141,28 @@ class TestFlip:
 
 class TestSkewUnitary:
     def test_block_action(self):
-        u = bell.skew_unitary(4)
+        u = skew(4)
         e0, e1 = np.eye(4)[0], np.eye(4)[1]
         assert np.array_equal(u @ e0, -e1)
         assert np.array_equal(u @ e1, e0)
 
     def test_exactly_skew_and_unitary(self):
         for d in (2, 4, 6):
-            u = bell.skew_unitary(d)
+            u = skew(d)
             assert np.array_equal(u.T, -u)
             assert np.allclose(u @ u.conj().T, np.eye(d))
 
     def test_odd_dimension_rejected(self):
         with pytest.raises(ValueError, match="even"):
-            bell.skew_unitary(3)
+            bell.twisted_flip(3)
+
+    @pytest.mark.parametrize("d", [2, 4, 6, 8, 10])
+    def test_twisted_flip_is_the_conjugated_flip_bit_for_bit(self, d):
+        # the signed permutation keeps every bit of (1 (x) U) F (1 (x) U^dag),
+        # signed zeros included
+        iu = np.kron(np.eye(d), skew(d))
+        expect = Mat(iu @ flip(d) @ iu.conj().T, (d, d)).data
+        assert np.array_equal(bell.twisted_flip(d).data.view(np.uint64), expect.view(np.uint64))
 
     def test_twisted_flip_involution_and_spectrum(self):
         fp = bell.twisted_flip(4)

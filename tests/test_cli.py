@@ -124,6 +124,16 @@ class TestProtocolRun:
                            "--state-file", str(path)], capsys)
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("text", ["[" * 100_000 + "]" * 100_000,
+                                      '{"dims": ' + "[" * 100_000 + "]" * 100_000 + "}"],
+                             ids=["list", "dims"])
+    def test_deeply_nested_state_file_is_usage_error(self, capsys, tmp_path, text):
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        err = usage_error(["protocol", "run", "--family", "two-qubit",
+                           "--state-file", str(path)], capsys)
+        assert err == f"error: --state-file {path} nests too deeply\n"
+
     def test_unreadable_state_file_is_usage_error(self, capsys, tmp_path):
         err = usage_error(["protocol", "run", "--family", "two-qubit",
                            "--state-file", str(tmp_path)], capsys)
@@ -136,6 +146,12 @@ class TestOversizedD:
         err = usage_error(["witness", "build", "--family", "reduction", "--d", str(10**20)],
                           capsys)
         assert err.startswith("error: cannot fit 'int' into an index-sized integer")
+
+    def test_side_beyond_int64_is_not_read_as_empty(self, capsys):
+        # d^2 = 2**64 wraps to 0 in int64, which once built a (0, 0) matrix
+        err = usage_error(["witness", "build", "--family", "decomposable", "--d", str(2**32)],
+                          capsys)
+        assert err.startswith("error: ") and "(0, 0)" not in err
 
     def test_out_of_memory_is_usage_error(self, capsys, monkeypatch):
         def unaffordable(d):

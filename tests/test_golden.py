@@ -3,7 +3,7 @@
 Each command runs in-process and its report's sha256 is compared with the
 hash pinned in ``perfbench/golden.json``, which the benchmark checks too.
 Every pinned report is covered, the d = 6 Breuer-Hall build (``network-bh6``,
-a 94 MB report, a few seconds) included. Three more d = 6 reports, which
+a 94 MB report, a few seconds) included. Four more d = 6 reports, which
 the benchmark does not run, are pinned in this file (``D6_REPORTS``).
 """
 
@@ -57,6 +57,10 @@ D6_REPORTS = {
         "ea9e41093ef089e6b22db2cce5312dc65977ade31d2ef4c569672bf100ce2ece",
     "verify reconstruction --family bh --d 6":
         "44bb94b0182705a6a47411544d59892abcc8724ab35015f08842151128430f5c",
+    # d = 6 is the one d where the readout table is not the gate product bit
+    # for bit (rows other than (0, 0) differ by up to 1.5e-15)
+    "protocol shots --family bh --d 6 --state isotropic --fidelity 0.3 --shots 100000 --seed 1":
+        "5814773b4ef4a0d042452a89591618bdb4274718143066b1e64f497617fffa14",
 }
 
 

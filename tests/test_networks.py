@@ -168,7 +168,7 @@ class TestDecomposableNetwork:
         # mixture of normalized antisymmetric/symmetric projectors
         d = 3
         net = flip_network(d)
-        f = bell.flip_operator(d).data
+        f = np.eye(d * d)[[j * d + i for i in range(d) for j in range(d)]]  # F|i,j> = |j,i>
         s, a = (np.eye(9) + f) / 2, (np.eye(9) - f) / 2
         p00 = bell.bell_projector(d, 0, 0).data
         first = np.kron(a / np.trace(a).real, p00)

@@ -27,15 +27,22 @@ def test_import_loads_the_core_modules():
 MODULES = {p.stem for p in PACKAGE.glob("*.py")} | {"netwitness"}
 
 
+def _walk(tree, skip=None):
+    """The nodes of ``tree`` outside the subtree ``skip``."""
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is not skip:
+            yield node
+            stack.extend(ast.iter_child_nodes(node))
+
+
 def _names(tree, skip=None) -> set:
     """Every name that ``tree`` reads, imports, or takes as an attribute of a
     netwitness module (``protocol.detect_exact``), outside ``skip``; a store or an
     attribute of any other object (``rep.singlet_fraction``) is no caller."""
-    out, stack = set(), [tree]
-    while stack:
-        node = stack.pop()
-        if node is skip:
-            continue
+    out = set()
+    for node in _walk(tree, skip):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             out.add(node.id)
         elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
@@ -43,8 +50,14 @@ def _names(tree, skip=None) -> set:
             out.add(node.attr)
         elif isinstance(node, ast.alias):
             out.add(node.name)
-        stack.extend(ast.iter_child_nodes(node))
     return out
+
+
+def _attribute_reads(tree, skip=None) -> set:
+    """Every attribute name that ``tree`` reads (``rep.to_dict``), outside ``skip``:
+    the callers of a public method or property."""
+    return {node.attr for node in _walk(tree, skip)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
 
 
 def _public_definitions(node) -> list:
@@ -62,12 +75,16 @@ def _public_definitions(node) -> list:
 
 def test_every_public_definition_has_a_caller():
     # a caller is code in src/ (outside the definition itself and __init__.py),
-    # perfbench/ or scripts/; tests alone do not keep library code alive
+    # perfbench/ or scripts/; tests alone do not keep library code alive. A
+    # public method or property of a class is called by any attribute read of
+    # its name.
     trees = {p.name: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))
              if p.name != "__init__.py"}
-    outside = set()
+    outside, outside_reads = set(), set()
     for p in sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py")):
-        outside |= _names(ast.parse(p.read_text()))
+        tree = ast.parse(p.read_text())
+        outside |= _names(tree)
+        outside_reads |= _attribute_reads(tree)
     unused = [
         f"{name}:{defined}"
         for name, tree in trees.items()
@@ -75,6 +92,15 @@ def test_every_public_definition_has_a_caller():
         for defined in _public_definitions(node)
         if defined not in outside
         and not any(defined in _names(t, node if n == name else None) for n, t in trees.items())
+    ]
+    unused += [
+        f"{name}:{node.name}.{method.name}"
+        for name, tree in trees.items()
+        for node in tree.body if isinstance(node, ast.ClassDef)
+        for method in node.body
+        if isinstance(method, ast.FunctionDef) and not method.name.startswith("_")
+        and method.name not in outside_reads
+        and not any(method.name in _attribute_reads(t, method) for t in trees.values())
     ]
     assert unused == []
 

@@ -14,6 +14,7 @@ from netwitness.networks import (
     two_qubit_network,
 )
 from netwitness.protocol import (
+    _readout_circuit,
     _weyl_tables,
     bell_outcome_distribution,
     bell_overlap_raw,
@@ -21,8 +22,6 @@ from netwitness.protocol import (
     detect_shots,
     filtering_channel,
     measurement_circuit_probs,
-    qudit_cnot,
-    qudit_hadamard,
     teleport_contraction,
     wilson_interval,
 )
@@ -100,6 +99,21 @@ class TestSingletFraction:
         assert abs(singlet_fraction(PSI_MINUS)) <= 1e-12
 
 
+def qudit_hadamard(d):
+    """Unitary discrete Fourier matrix d^{-1/2} sum_jk omega^{jk} |j><k|."""
+    j, k = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
+    return np.exp(2j * np.pi * j * k / d) / np.sqrt(d)
+
+
+def qudit_cnot(d):
+    """sum_j |j><j| (x) sum_k |k+j mod d><k|."""
+    m = np.zeros((d * d, d * d))
+    for j in range(d):
+        for kk in range(d):
+            m[j * d + (kk + j) % d, j * d + kk] = 1.0
+    return m
+
+
 class TestMeasurementCircuit:
     def test_circuit_prepares_phi00(self):
         for d in (2, 3, 4):
@@ -107,6 +121,19 @@ class TestMeasurementCircuit:
             ket00[0] = 1.0
             out = qudit_cnot(d) @ np.kron(qudit_hadamard(d), np.eye(d)) @ ket00
             assert np.max(np.abs(out - bell.bell_ket(d, 0, 0))) <= 1e-12
+
+    @pytest.mark.parametrize("d", range(2, 8))
+    def test_readout_is_the_inverse_gate_circuit(self, d):
+        # (H^dag (x) 1) CNOT^dag |phi_st> = |t, s>: the table of rows <phi_st|
+        # is the gate product, and at d <= 5 its probabilities keep every bit
+        gates = np.kron(qudit_hadamard(d).conj().T, np.eye(d)) @ qudit_cnot(d).T
+        assert np.max(np.abs(_readout_circuit(d) - gates)) <= 2e-15
+        if d > 5:
+            return  # at d = 6 the two routes' np.exp phases differ in the last bits
+        for seed in range(10):
+            sigma = random_state((d, d), rng_seed=seed)
+            expect = np.real(np.diag(gates @ sigma.data @ gates.conj().T)).reshape(d, d)
+            assert np.array_equal(measurement_circuit_probs(sigma), expect)
 
     def test_p00_gives_certain_outcome(self):
         probs = measurement_circuit_probs(dm(bell.bell_ket(3, 0, 0), (3, 3)))

@@ -45,7 +45,8 @@ class TestDecomposableWitness:
     def test_flip_case(self):
         d = 2
         w = decomposable_witness(density(bell.bell_projector(d, 0, 0).data, (d, d)))
-        assert np.max(np.abs(w.mat.data - bell.flip_operator(d).data / d)) <= 1e-12
+        f = np.eye(d * d)[[j * d + i for i in range(d) for j in range(d)]]  # F|i,j> = |j,i>
+        assert np.max(np.abs(w.mat.data - f / d)) <= 1e-12
         assert w.eta == 0.5
 
     def test_rejects_maximally_mixed_q(self):
@@ -135,7 +136,7 @@ class TestCyclicInequality:
     def test_choi_passes_many_samples(self):
         res = cyclic_inequality_check((2 / 3, 1 / 3, 0.0), trials=10000, rng_seed=2)
         assert res.passed
-        assert res.margin >= -1e-9
+        assert res.bound - res.worst_value >= -1e-9
 
     def test_basis_vector_blowup_fails(self):
         res = cyclic_inequality_check((0.0, 1.0, 0.0), trials=10, rng_seed=3)
@@ -254,6 +255,12 @@ class TestWitnessValidation:
     def test_positive_matrix_rejected(self):
         with pytest.raises(ValueError, match="negative eigenvalue"):
             Witness(Mat(np.eye(4) / 4, (2, 2)), "none", 0.5)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_rejected(self, bad):
+        # an inf diagonal once passed both checks; a NaN failed the eigenvalue one
+        with pytest.raises(ValueError, match="non-finite"):
+            Witness(Mat(np.diag([bad, -1.0, 1.0, 1.0]), (2, 2)), "none", 0.5)
 
     def test_non_hermitian_rejected(self):
         m = np.eye(4)
