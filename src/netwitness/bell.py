@@ -8,19 +8,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .tensor import Mat, proj
-
-
-def _check_index(d: int, s: int, t: int) -> None:
-    if d < 2:
-        raise ValueError("dimension must be >= 2")
-    if not (0 <= s < d and 0 <= t < d):
-        raise ValueError(f"bell index (s={s}, t={t}) out of range for d={d}")
+from .tensor import Mat
 
 
 def bell_ket(d: int, s: int = 0, t: int = 0) -> np.ndarray:
     """|phi_st> = d^{-1/2} sum_j omega^{tj} |j>|j+s mod d>."""
-    _check_index(d, s, t)
+    if d < 2:
+        raise ValueError("dimension must be >= 2")
+    if not (0 <= s < d and 0 <= t < d):
+        raise ValueError(f"bell index (s={s}, t={t}) out of range for d={d}")
     v = np.zeros(d * d, dtype=complex)
     for j in range(d):
         v[j * d + (j + s) % d] = np.exp(2j * np.pi * t * j / d)
@@ -29,17 +25,8 @@ def bell_ket(d: int, s: int = 0, t: int = 0) -> np.ndarray:
 
 def bell_projector(d: int, s: int = 0, t: int = 0) -> Mat:
     """Rank-one projector onto |phi_st>."""
-    return proj(bell_ket(d, s, t), (d, d))
-
-
-def bell_row_projector(d: int, s: int) -> Mat:
-    """Sum over t of P_st: the rank-d projector sum_j |j,j+s><j,j+s|."""
-    _check_index(d, s, 0)
-    m = np.zeros((d * d, d * d), dtype=complex)
-    for j in range(d):
-        k = j * d + (j + s) % d
-        m[k, k] = 1.0
-    return Mat(m, (d, d))
+    v = bell_ket(d, s, t)
+    return Mat(np.outer(v, v.conj()), (d, d))
 
 
 def twisted_flip(d: int) -> Mat:

@@ -213,8 +213,8 @@ def solve_decomposition(w: Witness, eta: float):
     only for eta within a few ulps of 1.
     """
     d = w.d
-    if not (1.0 / d - 1e-12 <= eta < 1.0):
-        raise ValueError("eta must lie in [1/d, 1)")
+    if not 0.0 < eta < 1.0:
+        raise ValueError("eta must lie in (0, 1)")
     phi = bell.bell_ket(d, 0, 0)
     vals, vecs = np.linalg.eigh(hermitian_part(w.mat.data.T))
     split = []  # (a_j, gap_j, Wn_j, Pi_j)

@@ -268,12 +268,6 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
-def proj(ket, dims) -> Mat:
-    """Rank-one projector |v><v|."""
-    v = np.asarray(ket, dtype=complex).reshape(-1)
-    return Mat(np.outer(v, v.conj()), dims)
-
-
 @functools.cache
 def _pt_shift(dims: tuple, subset: frozenset) -> np.ndarray:
     """Read-only s[i]: the part of composite index i on the factors in ``subset``."""

@@ -13,6 +13,9 @@ from .tensor import (STRUCTURAL_TOL, DensityOperator, Mat, _index, hermitian_par
 
 # A witness must dip below zero somewhere to detect anything.
 NEGATIVITY_TOL = 1e-12
+# Slack on each exact Bell-diagonal witness inequality at d <= 3; the reduction
+# and Smolin weights sit on the boundary, where rounding may land either side.
+LAMBDA_TOL = 1e-12
 # A seesaw restart stops once its value moves by less than this.
 SEESAW_STOP_TOL = 1e-10
 
@@ -91,27 +94,34 @@ def bell_diagonal_witness(
 ) -> Witness:
     """sum_s lambda_s Pi_s - P_00 on d (x) d with d = len(lambda).
 
-    The lambda vector is screened with the randomized cyclic-inequality
-    falsifier before construction.
+    The lambda vector is decided exactly at d = 2 (lambda_0 >= 1/2) and d = 3,
+    where 3W is the Choi matrix of the generalized Choi map (Cho, Kye, Lee,
+    Linear Algebra Appl. 171, 213, 1992); each inequality is allowed
+    LAMBDA_TOL. At d >= 4 the randomized cyclic-inequality falsifier screens it.
     """
     lam = check_lambda_vec(lam)
-    d = len(lam)
-    result = cyclic_inequality_check(lam, trials=check_trials, rng_seed=check_seed)
-    if not result.passed:
-        raise ValueError(
-            f"not a valid Bell-diagonal witness: cyclic inequality violated "
-            f"(worst value {result.worst_value:.6g} > {d})"
-        )
-    return Witness(_bell_diagonal_matrix(lam), family, lam[0], lambda_vec=lam)
+    d, l0, tol = len(lam), lam[0], LAMBDA_TOL
+    if d <= 3:
+        why = "exact test at d <= 3"
+        ok = l0 >= 1 / 2 - tol if d == 2 else l0 >= 1 / 3 - tol and (
+            l0 >= 2 / 3 - tol or 9 * lam[1] * lam[2] >= (2 - 3 * l0) ** 2 - tol)
+    else:
+        result = cyclic_inequality_check(lam, trials=check_trials, rng_seed=check_seed)
+        ok, why = result.passed, f"worst value {result.worst_value:.6g} > {d}"
+    if not ok:
+        raise ValueError(f"not a valid Bell-diagonal witness: cyclic inequality violated ({why})")
+    return Witness(_bell_diagonal_matrix(lam), family, l0, lambda_vec=lam)
 
 
 def _bell_diagonal_matrix(lam) -> Mat:
-    """sum_s lambda_s Pi_s - P_00 on d (x) d, d = len(lambda); lambda unscreened."""
+    """sum_s lambda_s Pi_s - P_00 on d (x) d, d = len(lambda); lambda unscreened.
+
+    Pi_s = sum_j |j,j+s><j,j+s| is diagonal, so the sum is diag(lambda_{(k-j) mod d})
+    at |j,k>; + 0.0 gives a -0.0 weight the +0.0 that summing the Pi_s gives."""
     d = len(lam)
-    m = -bell.bell_projector(d, 0, 0).data
-    for s in range(d):
-        m = m + lam[s] * bell.bell_row_projector(d, s).data
-    return Mat(m, (d, d))
+    j, k = np.divmod(np.arange(d * d), d)
+    diag = np.diag(np.asarray(lam, dtype=float)[(k - j) % d] + 0.0)
+    return Mat(diag - bell.bell_projector(d, 0, 0).data, (d, d))
 
 
 def choi_witness() -> Witness:

@@ -201,6 +201,16 @@ def test_protocol_rejects_a_lambda_that_is_no_witness(capsys, tmp_path, command)
                  "--out", str(tmp_path / "net.json")]) == 0
 
 
+@pytest.mark.parametrize("command", [["run"], ["shots", "--shots", "100"]],
+                         ids=["run", "shots"])
+def test_protocol_rejects_a_lambda_the_falsifier_misses(capsys, command):
+    # 9 l1 l2 - (2 - 3 l0)^2 = -1/50176: no witness, though 2,000 random
+    # falsifier trials find no violation; decided exactly at d = 3
+    err = usage_error(["protocol", *command, "--family", "pbd", "--lambda", "4/7,5/224,13/32",
+                       "--state", "maximally-mixed"], capsys)
+    assert "not a valid Bell-diagonal witness: cyclic inequality violated" in err
+
+
 class TestVerify:
     def test_reconstruction_pbd_choi(self, capsys):
         code, report = run_json(
@@ -250,6 +260,12 @@ class TestVerify:
         assert code == 0
         assert report["outputs"]["passed"] is True
         assert abs(report["outputs"]["eta"] - 0.55) <= 1e-12
+
+    def test_network_build_eta_below_one_over_d(self, capsys):
+        code, report = run_json(
+            ["network", "build", "--family", "decomposable", "--d", "3", "--eta", "0.2"], capsys)
+        assert code == 0
+        assert abs(report["outputs"]["eta"] - 0.2) <= 1e-12
 
     def test_eta_rejected_for_fixed_families(self, capsys):
         with pytest.raises(SystemExit) as err:
@@ -461,8 +477,11 @@ class TestReportFormats:
     ["verify", "reconstruction", "--family", "pbd", "--d", "3", "--lambda", "2/3,1/3,0"],
     ["verify", "ppt", "--family", "smolin"],
     ["protocol", "run", "--family", "two-qubit", "--state", "psi-minus"],
+    ["witness", "build", "--family", "choi"],
+    ["protocol", "run", "--family", "choi", "--state", "isotropic", "--fidelity", "0.8"],
 ], ids=["import", "network-bh4", "network-pbd4", "verify-reconstruction-pbd3",
-        "verify-ppt-smolin", "protocol-run-two-qubit"])
+        "verify-ppt-smolin", "protocol-run-two-qubit", "witness-build-choi",
+        "protocol-run-choi-isotropic"])
 def test_command_leaves_numpy_random_unloaded(tmp_path, argv):
     # loading numpy.random adds about 5 MB to a command's peak RSS
     code = ("import sys, netwitness\n"

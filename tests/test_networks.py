@@ -23,6 +23,7 @@ from netwitness.networks import (
     solve_decomposition,
     two_qubit_network,
 )
+from netwitness.protocol import detect_exact
 from netwitness.states import random_state
 from netwitness.tensor import (
     DensityOperator,
@@ -32,7 +33,6 @@ from netwitness.tensor import (
     hermitian_part,
     mixture,
     partial_transpose,
-    proj,
 )
 from netwitness.witnesses import (
     breuer_hall_witness,
@@ -103,6 +103,26 @@ class TestSolveDecomposition:
         # one ulp below 1, eta - <phi_00|P_00|phi_00> rounds to a non-negative gap
         with pytest.raises(ValueError, match="term 0 infeasible"):
             solve_decomposition(two_qubit_pt_witness(), 0.9999999999999999)
+
+    @pytest.mark.parametrize("d,eta", [(2, 0.05), (3, 0.05), (2, 0.4), (3, 0.2)])
+    def test_eta_below_one_over_d(self, d, eta):
+        # the readout gaps are eta - 1 < 0 and eta > 0, so every eta in (0, 1)
+        # is feasible; 40 seeded witnesses, each run on a seeded pure state
+        verdicts = set()
+        for seed in range(40):
+            w = decomposable_witness(random_state((d, d), rng_seed=seed, rank=1))
+            net = network_from_decomposition(w, eta)
+            rec = reconstruct_witness(net)
+            assert np.max(np.abs(rec.data - net.recon_constant * w.mat.data.T)) <= 1e-14
+            rep = detect_exact(random_state((d, d), rng_seed=100 + seed, rank=1), net)
+            assert (rep.verdict == "detected") == (rep.witness_expectation < 0)
+            verdicts.add(rep.verdict)
+        assert verdicts == {"detected", "not_detected"}
+
+    @pytest.mark.parametrize("eta", [0.0, 1.0, -0.1, 1.5, float("nan")])
+    def test_eta_outside_the_open_unit_interval_refused(self, eta):
+        with pytest.raises(ValueError, match=r"eta must lie in \(0, 1\)"):
+            solve_decomposition(two_qubit_pt_witness(), eta)
 
     def test_random_q_witness_reconstructs(self):
         for seed in range(5):
@@ -290,7 +310,7 @@ class TestPptReport:
         for k in kets[1:]:
             v = np.kron(v, k)
         v /= np.linalg.norm(v)
-        rep = ppt_report(as_network(DensityOperator(proj(v, (2, 2, 2, 2))), 0.5))
+        rep = ppt_report(as_network(DensityOperator(Mat(np.outer(v, v.conj()), (2, 2, 2, 2))), 0.5))
         assert all(val >= -1e-10 for val in rep.values())
 
 

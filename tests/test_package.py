@@ -1,6 +1,9 @@
-"""Package layout: what ``import netwitness`` loads, and no caller-less public code."""
+"""Package layout: what ``import netwitness`` loads, no caller-less public code, and
+every name the benchmark calls."""
 
 import ast
+import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -119,3 +122,45 @@ def test_src_imports_only_the_stdlib_and_numpy():
             foreign += [f"{p.name}:{name}" for name in names
                         if name.split(".")[0] not in sys.stdlib_module_names | {"numpy"}]
     assert foreign == []
+
+
+def _benchmark_bindings(tree) -> dict:
+    """Local name -> object for every ``from netwitness... import`` in ``tree``,
+    imports inside functions included; a name the package lacks maps to None."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "netwitness":
+            module = importlib.import_module(node.module)
+            for alias in node.names:
+                try:
+                    obj = importlib.import_module(f"{node.module}.{alias.name}")
+                except ModuleNotFoundError:
+                    obj = getattr(module, alias.name, None)
+                bound[alias.asname or alias.name] = obj
+    return bound
+
+
+def test_benchmark_calls_only_names_that_exist():
+    # perfbench/ is read here, never changed: a src/ change that deletes or
+    # renames a name it imports or reads off a netwitness module would break
+    # the benchmark and no other test
+    missing = []
+    for p in sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(p.read_text())
+        bound = _benchmark_bindings(tree)
+        missing += [f"{p.name}:{name}" for name, obj in bound.items() if obj is None]
+        missing += [
+            f"{p.name}:{node.value.id}.{node.attr}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and bound.get(node.value.id) is not None
+            and not hasattr(bound[node.value.id], node.attr)
+        ]
+    assert missing == []
+
+
+def test_benchmark_reads_the_falsifier_defaults():
+    # perfbench/stages.py reads these two defaults through inspect
+    from netwitness.witnesses import bell_diagonal_witness
+    params = inspect.signature(bell_diagonal_witness).parameters
+    for name in ("check_trials", "check_seed"):
+        assert params[name].default is not inspect.Parameter.empty

@@ -15,7 +15,6 @@ from netwitness.tensor import (
     mixture,
     pairing,
     partial_transpose,
-    proj,
 )
 
 
@@ -116,7 +115,7 @@ class TestMat:
 class TestPartialTranspose:
     def test_p00_gives_half_swap(self):
         phi = np.array([1, 0, 0, 1]) / np.sqrt(2)
-        out = partial_transpose(proj(phi, (2, 2)), {1})
+        out = partial_transpose(Mat(np.outer(phi, phi), (2, 2)), {1})
         swap = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
         assert np.max(np.abs(out.data - swap / 2)) <= 1e-15
 
@@ -128,7 +127,7 @@ class TestPartialTranspose:
 
     def test_psi_minus_min_eigenvalue(self):
         psi = np.array([0, 1, -1, 0]) / np.sqrt(2)
-        pt = partial_transpose(proj(psi, (2, 2)), {1})
+        pt = partial_transpose(Mat(np.outer(psi, psi), (2, 2)), {1})
         vals = np.linalg.eigvalsh(pt.data)
         assert abs(vals[0] + 0.5) <= 1e-12
 

@@ -1,12 +1,15 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from netwitness import bell
+from netwitness import bell, witnesses
 from netwitness.networks import pbd_network
 from netwitness.states import find_choi_detected_ppt, random_state
 from netwitness.tensor import Mat, density, partial_transpose
 from netwitness.witnesses import (
     Witness,
+    _bell_diagonal_matrix,
     bell_diagonal_witness,
     breuer_hall_witness,
     choi_witness,
@@ -76,11 +79,9 @@ class TestDecomposableWitness:
 class TestBellDiagonalWitness:
     def test_choi_matrix(self):
         w = choi_witness()
-        expect = (
-            2 / 3 * bell.bell_row_projector(3, 0).data
-            + 1 / 3 * bell.bell_row_projector(3, 1).data
-            - bell.bell_projector(3, 0, 0).data
-        )
+        # Pi_s = sum_t P_st, from its definition
+        row = [sum(bell.bell_projector(3, s, t).data for t in range(3)) for s in range(3)]
+        expect = 2 / 3 * row[0] + 1 / 3 * row[1] - bell.bell_projector(3, 0, 0).data
         assert np.max(np.abs(w.mat.data - expect)) <= 1e-12
         assert np.isclose(w.eta, 2 / 3)
 
@@ -125,6 +126,106 @@ class TestBellDiagonalWitness:
         for build in (bell_diagonal_witness, cyclic_inequality_check, pbd_network):
             with pytest.raises(ValueError, match="must be finite"):
                 build(lam)
+
+
+def _bell_diagonal_loop(lam):
+    """sum_s lambda_s Pi_s - P_00 summed term by term, each Pi_s a full d^2 x d^2
+    matrix with ones at |j, j+s>."""
+    d = len(lam)
+    m = -bell.bell_projector(d, 0, 0).data
+    for s in range(d):
+        pi = np.zeros((d * d, d * d), dtype=complex)
+        for j in range(d):
+            pi[j * d + (j + s) % d, j * d + (j + s) % d] = 1.0
+        m = m + lam[s] * pi
+    return Mat(m, (d, d)).data
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_closed_form_matches_the_row_projector_sum_bit_for_bit(d):
+    # signed zeros included: a -0.0 weight must give the +0.0 that the sum
+    # gives once any weight is positive, as in every lambda that sums to 1
+    rng = np.random.default_rng(60 + d)
+    cases = [(1 / d,) * d, (1.0,) + (0.0,) * (d - 1), (1.0,) + (-0.0,) * (d - 1)]
+    cases += [(2 / 3, 1 / 3, 0.0), (2 / 3, -0.0, 1 / 3)] if d == 3 else []
+    for _ in range(20):
+        lam = rng.random(d)
+        zero = rng.random(d) < 0.4
+        zero[rng.integers(d)] = False
+        lam[zero] = rng.choice([0.0, -0.0], zero.sum())
+        cases.append(tuple(lam / lam.sum()))
+    for lam in cases:
+        got = _bell_diagonal_matrix(lam).data
+        assert np.array_equal(got.view(np.uint64), _bell_diagonal_loop(lam).view(np.uint64)), lam
+
+
+def _choi_map_margin(lam):
+    """9 lambda_1 lambda_2 - (2 - 3 lambda_0)^2, exact for Fraction input."""
+    return 9 * lam[1] * lam[2] - (2 - 3 * lam[0]) ** 2
+
+
+class TestExactRuleAtSmallDimension:
+    # d = 2: a witness iff lambda_0 >= 1/2; d = 3: iff lambda_0 >= 1/3 and
+    # (lambda_0 >= 2/3 or 9 lambda_1 lambda_2 >= (2 - 3 lambda_0)^2)
+    MISSED_LAMBDA = (Fraction(4, 7), Fraction(5, 224), Fraction(13, 32))
+
+    @pytest.mark.parametrize("lam", [
+        (Fraction(22, 39), Fraction(16, 39), Fraction(1, 39)),
+        (Fraction(23, 39), Fraction(5, 13), Fraction(1, 39)),
+        (Fraction(1, 3),) * 3,
+        (Fraction(2, 3), Fraction(1, 3), Fraction(0)),
+        (Fraction(1, 2), Fraction(1, 2)),
+    ], ids=["boundary", "inside", "reduction", "choi", "smolin"])
+    def test_accepted(self, lam):
+        w = bell_diagonal_witness(lam)
+        assert w.lambda_vec == tuple(float(x) for x in lam)
+
+    def test_boundary_point_sits_exactly_on_the_boundary(self):
+        assert _choi_map_margin((Fraction(22, 39), Fraction(16, 39), Fraction(1, 39))) == 0
+        assert _choi_map_margin((Fraction(23, 39), Fraction(5, 13), Fraction(1, 39))) > 0
+
+    def test_sampled_falsifier_misses_a_non_witness(self):
+        # the default falsifier accepts this lambda; the exact rule and the seesaw do not
+        lam = self.MISSED_LAMBDA
+        assert _choi_map_margin(lam) == Fraction(-1, 50176)
+        assert cyclic_inequality_check(lam, trials=2000, rng_seed=7).passed
+        assert sep_floor_estimate(_bell_diagonal_matrix(tuple(map(float, lam)))) < -3e-6
+        with pytest.raises(ValueError, match="cyclic inequality violated"):
+            bell_diagonal_witness(lam)
+
+    def test_rejected_just_below_one_half_at_d2(self):
+        with pytest.raises(ValueError, match="cyclic inequality violated"):
+            bell_diagonal_witness((0.5 - 1e-6, 0.5 + 1e-6))
+
+    def test_falsifier_runs_only_at_d_ge_4(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("the falsifier ran")
+        monkeypatch.setattr(witnesses, "cyclic_inequality_check", fail)
+        choi_witness()
+        bell_diagonal_witness((0.7, 0.3))
+        with pytest.raises(AssertionError, match="falsifier"):
+            bell_diagonal_witness((0.4, 0.3, 0.2, 0.1))
+
+    def test_agrees_with_the_seesaw_on_a_grid(self):
+        # every lambda of step 1/20; a floor within 1e-6 of zero decides nothing,
+        # and every witness here touches zero on some product state. (1, 0, 0)
+        # passes the rule but is refused as PSD, hence 68 of the rule's 69
+        counts = {"valid": 0, "decided": 0}
+        for i in range(21):
+            for j in range(21 - i):
+                lam = (Fraction(i, 20), Fraction(j, 20), Fraction(20 - i - j, 20))
+                try:
+                    bell_diagonal_witness(lam)
+                    valid = True
+                except ValueError:
+                    valid = False
+                floor = sep_floor_estimate(_bell_diagonal_matrix(tuple(map(float, lam))),
+                                           restarts=16, rng_seed=0)
+                if abs(floor) > 1e-6:
+                    assert (floor > 0) == valid, (lam, floor)
+                counts["valid"] += valid
+                counts["decided"] += abs(floor) > 1e-6
+        assert counts == {"valid": 68, "decided": 162}
 
 
 class TestCyclicInequality:
