@@ -30,7 +30,7 @@ import numpy as np
 
 from . import protocol
 from .networks import NetworkState
-from .tensor import DensityOperator, Mat, _index, _indices, pairing
+from .tensor import DensityOperator, Mat, _index, _indices, mixture, pairing
 from .witnesses import Witness
 
 
@@ -107,7 +107,7 @@ def graph_witness(g: GraphSpec, labels) -> Witness:
 def graph_network(g: GraphSpec, labels) -> DensityOperator:
     """Uniform pairing of graph-basis projectors across layers 2 and 3."""
     signs = _graph_signs(g, labels)
-    return pairing(((4.0**-g.n / len(signs), s) for s in signs), (2,) * (2 * g.n))
+    return mixture(pairing((4.0**-g.n / len(signs), s) for s in signs), (2,) * (2 * g.n))
 
 
 # GHZ is the star graph 1-2, 1-3 seen through a Hadamard on each leaf:
@@ -133,7 +133,7 @@ def ghz_witness() -> Witness:
 def ghz_network() -> DensityOperator:
     """Uniform pairing of the eight GHZ-family projectors across two layers."""
     kets = (ghz_ket(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1))
-    return pairing(((1 / 8, v) for v in kets), (2,) * 6)
+    return mixture(pairing((1 / 8, v) for v in kets), (2,) * 6)
 
 
 # <target|K|target> for an n-qubit layer; the unscaled contraction value

@@ -3,9 +3,10 @@
 A network state N on layers 2 and 3 of equal site dims (A2B2 and A3B3 for
 the families below, one qubit per vertex for ``graphs``) is separable across
 that cut as certified per term (``tensor.mixture`` builds every family as a
-convex sum of products across it, the paired ones through ``tensor.pairing``),
-such that contracting layer 3 against (eta*1 - |target><target|) returns a
-positive multiple of the transposed witness:
+convex sum of products across it, the paired ones from ``tensor.pairing``'s
+terms, nested as one term in the Breuer-Hall state), such that contracting
+layer 3 against (eta*1 - |target><target|) returns a positive multiple of the
+transposed witness:
 
     tr_3[N (eta*1 - |target><target|)_3] = recon_constant * W^T.
 """
@@ -142,7 +143,7 @@ def pbd_network(lam, family: str = "pbd") -> NetworkState:
     pairs = ((lam[s] / d, bell.bell_ket(d, s, t))
              for s in range(d) if lam[s] != 0.0 for t in range(d))
     return NetworkState(
-        state=pairing(pairs, (d,) * 4),
+        state=mixture(pairing(pairs), (d,) * 4),
         eta=lam[0],
         recon_constant=lam[0] / d,
         family=family,
@@ -182,8 +183,7 @@ def bh_network(d: int) -> NetworkState:
     fp = bell.twisted_flip(d).data
     p00, rest = _readouts(d)
     eye = np.eye(d * d)
-    paired = pairing(((1 / (d * d), bell.bell_ket(d, s, t)) for s in range(d) for t in range(d)),
-                     (d,) * 4)
+    paired = pairing((1 / (d * d), bell.bell_ket(d, s, t)) for s in range(d) for t in range(d))
     return NetworkState(
         state=mixture([
             (float(c0), paired),
@@ -207,31 +207,22 @@ def solve_decomposition(w: Witness, eta: float):
 
         a_j = k * c_j * (eta - <phi_00|Pi_j|phi_00>),  sum_j c_j = 1, k > 0,
 
-    and N = sum_j c_j Wn_j (x) Pi_j reconstructs W^T / k. Returns the
-    ``tensor.mixture`` terms (c_j, Wn_j, Pi_j) and k. Raises when a term's
-    sign is incompatible with its Pi overlap, which rounding brings about
-    only for eta within a few ulps of 1.
+    and N = sum_j c_j Wn_j (x) Pi_j reconstructs W^T / k. The overlaps
+    <phi_00|Pi_j|phi_00> are 1 and 0 exactly, so the gaps are eta - 1 < 0 and
+    eta > 0, each of the sign of its a_j: every eta in (0, 1) is feasible.
+    Returns the ``tensor.mixture`` terms (c_j, Wn_j, Pi_j) and k.
     """
     d = w.d
     if not 0.0 < eta < 1.0:
         raise ValueError("eta must lie in (0, 1)")
-    phi = bell.bell_ket(d, 0, 0)
     vals, vecs = np.linalg.eigh(hermitian_part(w.mat.data.T))
     split = []  # (a_j, gap_j, Wn_j, Pi_j)
     k = 0.0
-    for mask, pi in zip((vals < -1e-12, vals > 1e-12), _readouts(d)):
+    for mask, pi, gap in zip((vals < -1e-12, vals > 1e-12), _readouts(d), (eta - 1.0, eta)):
         if not np.any(mask):
             continue
         block = (vecs[:, mask] * vals[mask]) @ vecs[:, mask].conj().T
         a = float(np.real(np.trace(block)))  # signed weight
-        overlap_phi = float(np.real(phi.conj() @ pi @ phi))
-        gap = eta - overlap_phi
-        if a * gap <= 0:
-            want = "below" if a > 0 else "above"
-            raise ValueError(
-                f"term {len(split)} infeasible: coefficient {a:.6g} requires "
-                f"<phi_00|Pi|phi_00> {want} eta={eta}, got {overlap_phi:.6g}"
-            )
         split.append((a, gap, hermitian_part(block / a), pi))
         k += a / gap
     return [(a / (k * gap), wn, pi) for a, gap, wn, pi in split], float(k)

@@ -258,10 +258,11 @@ def detect_shots(rho: DensityOperator, n: NetworkState, *, shots: int = 10000,
     Every shot draws a joint Bell outcome on both pairs from the exact
     distribution; shots post-selected on the double (0,0) outcome draw a
     computational readout from the measurement-circuit table of the filtered
-    state. The estimate is the frequency of (0,0) readouts among
-    post-selected shots, with a 95% Wilson interval. A fixed seed reproduces
-    the sample only from a bit-identical distribution: numpy's multinomial
-    draws binomials that branch at p = 1/2, so one ulp can move every count.
+    state, so the network's target must be |phi_00>. The estimate is the
+    frequency of (0,0) readouts among post-selected shots, with a 95% Wilson
+    interval. A fixed seed reproduces the sample only from a bit-identical
+    distribution: numpy's multinomial draws binomials that branch at p = 1/2,
+    so one ulp can move every count.
     """
     shots = _index(shots, "shots")
     if not 1 <= shots <= MAX_SHOTS:
@@ -269,6 +270,8 @@ def detect_shots(rho: DensityOperator, n: NetworkState, *, shots: int = 10000,
     exact, k, trk = detect_target(rho, n.state, n.witness, n.eta, n.target, provenance)
     rng = np.random.default_rng(rng_seed)
     p = bell_outcome_distribution(rho, n).reshape(-1)
+    if not np.array_equal(n.target, _readout_circuit(n.d)[0].conj()):  # row 0 is <phi_00|
+        raise ValueError("the readout circuit reads |phi_00>, not this network's target")
     p = np.clip(p, 0.0, None)
     p = p / p.sum()
     bell_counts = rng.multinomial(shots, p)

@@ -162,19 +162,18 @@ def _scatters(nnz: int, side: int) -> bool:
     return nnz * _SCATTER_FILL < side * side
 
 
-def _mixture_term(term, dims: tuple, side: int) -> tuple:
-    """The mixture term (c, A, B) or (c, rho), its weight and shapes checked."""
+def _mixture_term(term, side: int) -> tuple:
+    """The mixture term (c, A, B) or (c, [terms]), its weight and shapes checked."""
     c, *factor = term
     if not (np.isfinite(c) and c >= 0):
         raise ValueError(f"mixture weight {c!r} is not finite and >= 0")
     if len(factor) == 1:
-        if not isinstance(factor[0], DensityOperator):
-            raise ValueError("a (c, rho) mixture term needs a DensityOperator rho")
-        if factor[0].dims != dims:
-            raise ValueError(f"a (c, rho) mixture term has dims {factor[0].dims}, not {dims}")
-        return c, factor[0]
+        if not (isinstance(factor[0], list) and factor[0]):
+            raise ValueError("a (c, [terms]) mixture term needs a non-empty list of terms, "
+                             f"not {type(factor[0]).__name__}")
+        return c, [_mixture_term(t, side) for t in factor[0]]
     if len(factor) != 2:
-        raise ValueError("a mixture term is (c, A, B) or (c, rho)")
+        raise ValueError("a mixture term is (c, A, B) or (c, [terms])")
     a, b = (np.asarray(f) for f in factor)
     if any(f.ndim != 2 or f.shape[0] != f.shape[1] for f in (a, b)):
         raise ValueError(f"mixture factors of shapes {a.shape}, {b.shape} are not square")
@@ -183,64 +182,66 @@ def _mixture_term(term, dims: tuple, side: int) -> tuple:
     return c, a, b
 
 
+def _add_terms(checked, side: int, factors: dict) -> np.ndarray:
+    """0 + the checked terms, added in order into a new (side, side) array;
+    every factor is recorded in ``factors`` by id."""
+    acc = np.zeros((side, side), dtype=complex)
+    scaled = None  # c * (A (x) B) of the current broadcast term; one buffer for all
+    for c, *factor in checked:
+        if len(factor) == 1:
+            nested = _add_terms(factor[0], side, factors)
+            acc += np.multiply(nested, c, out=nested)
+            continue
+        a, b = factor
+        factors.update({id(a): a, id(b): b})
+        if _scatters(np.count_nonzero(a) * np.count_nonzero(b), side):
+            (ia, ja), (ib, jb) = np.nonzero(a), np.nonzero(b)
+            rows, cols = (ia * len(b))[:, None] + ib, (ja * len(b))[:, None] + jb
+            vals = np.empty(rows.shape, dtype=complex)  # complex, as the broadcast's buffer
+            np.multiply(a[ia, ja][:, None], b[ib, jb], out=vals)
+            acc[rows, cols] += np.multiply(vals, c, out=vals)
+            continue
+        if scaled is None:
+            scaled = np.empty_like(acc)
+        grid = scaled.reshape(len(a), len(b), len(a), len(b))  # a view: np.kron's entries
+        np.multiply(a[:, None, :, None], b[None, :, None, :], out=grid)
+        acc += np.multiply(scaled, c, out=scaled)
+    return acc
+
+
 def mixture(terms, dims) -> DensityOperator:
     """The state N = sum_j c_j A_j (x) B_j, certified per term with no dense eigensolve.
 
     A term is (c, A, B) with square arrays A, B whose sides multiply to the
-    state's side, or (c, rho) with a DensityOperator rho on ``dims``; every
+    state's side, or (c, [terms]) with a non-empty list of such terms; every
     term is checked before any is added. Terms are added in the given order
-    onto zeros, so N has the bits of ``0 + sum(c * np.kron(A, B) for ...)``.
-    A term with fewer than side^2 / 16 nonzero entries (nnz(A) * nnz(B), or
-    nnz(rho)) adds only those: the products of A's and B's nonzero entries,
-    made by the same two multiplies into complex as the broadcast, are
-    scattered onto their Kronecker positions, which are distinct within a
-    term. Any other term is one broadcast product in a full-size buffer,
-    made on the first such term. Both give the same bits: a skipped product
-    is +-0, and adding +-0 leaves every entry as it was, since the sum
-    starts at +0.0 and only -0.0 + -0.0 gives -0.0.
+    onto zeros, a nested list summed onto zeros of its own, scaled by c and
+    added as one broadcast, so N has the bits of ``0 + sum(c * T ...)``, T
+    being np.kron(A, B) or the nested ``0 + sum(...)``. A product term with
+    fewer than side^2 / 16 nonzero entries (nnz(A) * nnz(B)) adds only those:
+    the products of A's and B's nonzero entries, made by the same two
+    multiplies into complex as the broadcast, are scattered onto their
+    Kronecker positions, which are distinct within a term. Any other product
+    term is one broadcast product in a full-size buffer, one per list. Both
+    give the same bits: a skipped product is +-0, and adding +-0 leaves every
+    entry as it was, since a sum starts at +0.0 and only -0.0 + -0.0 gives
+    -0.0.
 
     Every c must be finite and >= 0, every distinct factor Hermitian within
     STRUCTURAL_TOL with smallest eigenvalue >= -STRUCTURAL_TOL (one stacked
     eigvalsh per factor shape); factors need no unit trace. Then, up to
     rounding, lambda_min(N) >= -STRUCTURAL_TOL * sum_j c_j max(|A_j|, |B_j|)
-    (spectral norms; c times rho's own bound for a (c, rho) term), and N is
-    that close to a state separable across the A:B cut. N also passes the
-    finite, Hermitian and unit-trace checks of DensityOperator.
+    (spectral norms; c times the nested sum's own bound for a nested term),
+    and N is that close to a state separable across the A:B cut. N also
+    passes the finite, Hermitian and unit-trace checks of DensityOperator.
     """
     dims = _indices(dims, "dims")
     side = math.prod(dims)
-    checked = [_mixture_term(term, dims, side) for term in terms]
+    checked = [_mixture_term(term, side) for term in terms]
     if not checked:
         raise ValueError("mixture needs at least one term")
-    acc = np.zeros((side, side), dtype=complex)
-    scaled = None  # c * (A (x) B) of the current broadcast term; one buffer for all
     factors = {}
-    for c, *factor in checked:
-        if len(factor) == 1:
-            rho = factor[0].data
-            nnz = np.count_nonzero(rho)
-        else:
-            a, b = factor
-            factors.update({id(a): a, id(b): b})
-            nnz = np.count_nonzero(a) * np.count_nonzero(b)
-        if _scatters(nnz, side):
-            if len(factor) == 1:
-                rows, cols = np.nonzero(rho)
-                vals = rho[rows, cols]
-            else:
-                (ia, ja), (ib, jb) = np.nonzero(a), np.nonzero(b)
-                rows, cols = (ia * len(b))[:, None] + ib, (ja * len(b))[:, None] + jb
-                vals = np.empty(rows.shape, dtype=complex)  # complex, as the broadcast's buffer
-                np.multiply(a[ia, ja][:, None], b[ib, jb], out=vals)
-            acc[rows, cols] += np.multiply(vals, c, out=vals)
-            continue
-        if scaled is None:
-            scaled = np.empty_like(acc)
-        if len(factor) == 2:
-            grid = scaled.reshape(len(a), len(b), len(a), len(b))  # a view: np.kron's entries
-            np.multiply(a[:, None, :, None], b[None, :, None, :], out=grid)
-            rho = scaled
-        acc += np.multiply(rho, c, out=scaled)
+    acc = _add_terms(checked, side, factors)
     for shape in {f.shape for f in factors.values()}:
         stack = np.stack([f for f in factors.values() if f.shape == shape])
         # a NaN defect fails the comparison, so a non-finite factor is rejected here
@@ -256,11 +257,10 @@ def mixture(terms, dims) -> DensityOperator:
     return state
 
 
-def pairing(terms, dims) -> DensityOperator:
-    """The paired state sum_x c_x |v_x><v_x| (x) |v_x><v_x| of (c, ket) terms,
-    built and certified by ``mixture`` in the given order."""
-    projectors = ((c, np.outer(v, np.conj(v))) for c, v in terms)
-    return mixture(((c, p, p) for c, p in projectors), dims)
+def pairing(terms) -> list:
+    """The ``mixture`` terms (c, P, P), P = |v><v|, of (c, ket) terms v: the
+    paired state sum_x c_x |v_x><v_x| (x) |v_x><v_x| in the given order."""
+    return [(c, p, p) for c, v in terms for p in [np.outer(v, np.conj(v))]]
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:

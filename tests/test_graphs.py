@@ -22,7 +22,7 @@ from netwitness.graphs import (
 )
 from netwitness.networks import ppt_report, reconstruct_witness
 from netwitness.states import random_state
-from netwitness.tensor import Mat, density, pairing
+from netwitness.tensor import Mat, density, mixture, pairing
 from netwitness.witnesses import Witness
 
 X = np.array([[0, 1], [1, 0]])
@@ -403,7 +403,7 @@ def old_graph_witness_matrix(g, labels):
 
 def old_graph_network(g, labels):
     kets = [old_graph_basis_state(g, x) for x in labels]
-    return pairing(((1 / len(kets), v) for v in kets), (2,) * (2 * g.n))
+    return mixture(pairing((1 / len(kets), v) for v in kets), (2,) * (2 * g.n))
 
 
 def old_ghz_ket(a=0, b=0, c=0):
@@ -598,6 +598,14 @@ class TestGraphProtocol:
             protocol.detect_shots(rho, n, shots=100)
         with pytest.raises(ValueError, match=message):
             protocol.bell_outcome_distribution(rho, n)
+
+    def test_shots_refuse_a_target_other_than_phi_00(self):
+        # a two-vertex layer is (2, 2), but the readout circuit reads |phi_00>, not |G_00>
+        n = graph_protocol(PATH2, ["00", "01", "10", "11"])
+        rho = dm(n.target, n.layer)
+        assert protocol.detect_exact(rho, n).verdict == "detected"
+        with pytest.raises(ValueError, match=r"reads \|phi_00>, not this network's target"):
+            protocol.detect_shots(rho, n, shots=200000, rng_seed=1)
 
     def test_ppt_report_needs_two_site_layers(self):
         # its seven cuts are those of the four sites A2B2A3B3

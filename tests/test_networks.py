@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from netwitness import bell, cli, graphs
+from netwitness import bell, cli, graphs, networks, tensor
 from netwitness.networks import (
     DENSE_EIGVALSH_MAX_SIDE,
     SITE_NAMES,
@@ -99,10 +99,20 @@ class TestSolveDecomposition:
         with pytest.raises(TypeError):
             network_from_decomposition(two_qubit_pt_witness(), 0.5, [p00, p00])
 
-    def test_sign_contradiction_raises(self):
-        # one ulp below 1, eta - <phi_00|P_00|phi_00> rounds to a non-negative gap
-        with pytest.raises(ValueError, match="term 0 infeasible"):
-            solve_decomposition(two_qubit_pt_witness(), 0.9999999999999999)
+    @pytest.mark.parametrize("w", [two_qubit_pt_witness(),
+                                   decomposable_witness(random_state((3, 3), rng_seed=3, rank=1))],
+                             ids=["two-qubit", "d3"])
+    def test_eta_one_ulp_below_one(self, w):
+        # the exact gaps eta - 1 and eta keep their signs up to the last ulp
+        eta = 0.9999999999999999
+        terms, k = solve_decomposition(w, eta)
+        assert all(np.array_equal(t[2], pi) for t, pi in zip(terms, networks._readouts(w.d)))
+        assert all(c > 0 for c, _, _ in terms) and k > 0
+        net = network_from_decomposition(w, eta)
+        rec = reconstruct_witness(net)
+        # recon_constant is about 2e-16 here, the size of the contraction's own
+        # round-off, so the residual is held absolute, as at every other eta
+        assert np.max(np.abs(rec.data - net.recon_constant * w.mat.data.T)) <= 1e-14
 
     @pytest.mark.parametrize("d,eta", [(2, 0.05), (3, 0.05), (2, 0.4), (3, 0.2)])
     def test_eta_below_one_over_d(self, d, eta):
@@ -559,17 +569,16 @@ def wrapped_decomposition_network(w, eta):
     Mat-wrapped operators, with the weights and gaps in parallel lists, read
     back into ``mixture`` term by term; returns the state and 1 / k."""
     d = w.d
-    phi = bell.bell_ket(d, 0, 0)
     vals, vecs = np.linalg.eigh(hermitian_part(w.mat.data.T))
     p00 = bell.bell_projector(d, 0, 0)
     rest = Mat((np.eye(d * d) - p00.data) / (d * d - 1), (d, d))
     terms, gaps, k = [], [], 0.0
-    for mask, pi in ((vals < -1e-12, p00), (vals > 1e-12, rest)):
+    for mask, pi, gap in ((vals < -1e-12, p00, eta - 1.0), (vals > 1e-12, rest, eta)):
         if not np.any(mask):
             continue
         block = (vecs[:, mask] * vals[mask]) @ vecs[:, mask].conj().T
         a = float(np.real(np.trace(block)))
-        gaps.append(eta - float(np.real(phi.conj() @ pi.data @ phi)))
+        gaps.append(gap)
         terms.append((a, Mat(hermitian_part(block / a), w.mat.dims), pi))
         k += a / gaps[-1]
     c = [a / (k * g) for (a, _, _), g in zip(terms, gaps)]
@@ -697,8 +706,9 @@ class TestMixtureCertificate:
     P = bell.bell_projector(2, 0, 0).data
 
     def test_accepts_valid_terms_and_nested_state(self):
-        inner = mixture([(0.5, self.P, self.P), (0.5, np.eye(4) / 4, np.eye(4) / 4)], (2,) * 4)
-        outer = mixture([(0.25, inner), (0.75, self.P, np.eye(4) / 4)], (2,) * 4)
+        nested = [(0.5, self.P, self.P), (0.5, np.eye(4) / 4, np.eye(4) / 4)]
+        inner = mixture(nested, (2,) * 4)
+        outer = mixture([(0.25, nested), (0.75, self.P, np.eye(4) / 4)], (2,) * 4)
         expect = 0 + 0.25 * inner.data + 0.75 * np.kron(self.P, np.eye(4) / 4)
         assert isinstance(outer, DensityOperator)
         assert_same_bits(outer.data, expect)
@@ -733,10 +743,14 @@ class TestMixtureCertificate:
         with pytest.raises(ValueError, match="at least one term"):
             mixture([], (2,) * 4)
 
-    @pytest.mark.parametrize("rho", [np.eye(16) / 16, Mat(np.eye(16) / 16, (2,) * 4)])
+    @pytest.mark.parametrize("rho", [np.eye(16) / 16, Mat(np.eye(16) / 16, (2,) * 4),
+                                     DensityOperator(Mat(np.eye(16) / 16, (2,) * 4)),
+                                     ((1.0, P, P),), []])
     def test_rejects_nested_term_that_is_not_a_density_operator(self, rho):
-        with pytest.raises(ValueError, match="DensityOperator"):
-            mixture([(1.0, rho)], (2,) * 4)
+        # a nested term is a non-empty list of terms; no state stands in for one
+        for terms in ([(1.0, rho)], [(0.5, self.P, self.P), (0.5, [(1.0, rho)])]):
+            with pytest.raises(ValueError, match="needs a non-empty list of terms"):
+                mixture(terms, (2,) * 4)
 
     def test_no_full_size_copy_or_temporary(self):
         # a fully dense term takes the broadcast: the sum and the one term
@@ -752,7 +766,7 @@ class TestMixtureCertificate:
 
     def test_bh6_build_peak_below_two_and_a_half_states(self):
         # scattered terms need no term buffer: the sum and the nested paired
-        # state are the only full-size arrays
+        # sum are the only full-size arrays
         bh_network(6)  # warm every cache first
         tracemalloc.start()
         try:
@@ -761,6 +775,14 @@ class TestMixtureCertificate:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * state.data.nbytes
+
+    @pytest.mark.parametrize("d", [4, 6])
+    def test_bh_checks_the_structure_once(self, d, monkeypatch):
+        # the paired terms are nested: no intermediate state is built or checked
+        checked, real = [], tensor._check_structure
+        monkeypatch.setattr(tensor, "_check_structure", lambda m: checked.append(m) or real(m))
+        state = bh_network(d).state
+        assert len(checked) == 1 and checked[0] is state.mat
 
     def test_still_checks_the_trace_of_the_sum(self):
         with pytest.raises(ValueError, match="trace"):

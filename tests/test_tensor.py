@@ -188,15 +188,17 @@ class TestPairing:
         for c, v in zip(weights, kets):
             p = np.outer(v, v.conj())
             expect += c * np.kron(p, p)
-        got = pairing(zip(weights, kets), (2,) * 4)
+        terms = pairing(zip(weights, kets))
+        assert [(c, a is b) for c, a, b in terms] == [(c, True) for c in weights]
+        got = mixture(terms, (2,) * 4)
         assert got.dims == (2,) * 4
         assert got.data.tobytes() == expect.tobytes()
 
 
 def kron_sum(terms):
-    """The dense oracle of ``mixture``: 0 + sum(c * np.kron(A, B)), with c * rho
-    for a (c, rho) term, added in order."""
-    return 0 + sum(c * (np.kron(*f) if len(f) == 2 else f[0].data) for c, *f in terms)
+    """The dense oracle of ``mixture``: 0 + sum(c * np.kron(A, B)), with
+    c * kron_sum(nested) for a (c, [terms]) term, added in order."""
+    return 0 + sum(c * (np.kron(*f) if len(f) == 2 else kron_sum(f[0])) for c, *f in terms)
 
 
 def random_factor(side, seed):
@@ -245,16 +247,40 @@ class TestMixtureBranches:
 
     def test_mixed_branches_with_nested_terms(self, branches):
         p00 = bell.bell_projector(3, 0, 0).data
+        choi_pairs = pairing((lam / 3, bell.bell_ket(3, s, t))
+                             for s, lam in enumerate((2 / 3, 1 / 3)) for t in range(3))
         terms = [
             (0.2, random_factor(9, 3), random_factor(9, 4)),
             (0.1, p00, np.diag([0.5, 0, 0, 0, 0.5, 0, 0, 0, -0.0])),
-            (0.3, networks.choi_network().state),
-            (0.4, random_state((3,) * 4, 5)),
+            (0.3, choi_pairs),
+            (0.4, [(0.5, random_factor(9, 5), p00),
+                   (0.5, [(1.0, random_factor(9, 6), random_factor(9, 7))])]),
         ]
-        branches.clear()  # choi_network's own terms
         got = mixture(terms, (3,) * 4)
-        assert branches == [False, True, True, False]
+        # a nested list adds its own terms' branches in order, then one broadcast
+        assert branches == [False, True] + [True] * 6 + [False, False]
         assert got.data.tobytes() == kron_sum(terms).tobytes()
+        assert got.data.tobytes() == (
+            0 + 0.2 * np.kron(random_factor(9, 3), random_factor(9, 4))
+            + 0.1 * np.kron(p00, np.diag([0.5, 0, 0, 0, 0.5, 0, 0, 0, -0.0]))
+            + 0.3 * networks.choi_network().state.data
+            + 0.4 * kron_sum(terms[3][1])).tobytes()
+
+    def test_nested_term_with_signed_zeros(self, branches):
+        # -0.0 entries in nested factors, scattered and broadcast, leave the
+        # bits of 0 + c * (0 + sum c_i kron(A_i, B_i)) + ...
+        a = np.diag([0.5, -0.0, 0.5, -0.0])
+        a[1, 3] = a[3, 1] = -0.0
+        b = np.full((4, 4), 1 / 8, dtype=complex) + np.eye(4) / 8
+        b[0, 1] = b[2, 3] = complex(1 / 8, -0.0)
+        nested = [(0.5, a, a), (0.5, [(1.0, b, a)]), (0.0, b, b)]
+        terms = [(0.25, [(1.0, a, b)]), (0.75, nested)]
+        got = mixture(terms, (4, 4))
+        assert branches == [False, True, False, False]
+        expect = 0 + 0.25 * (0 + 1.0 * np.kron(a, b)) + 0.75 * (
+            0 + 0.5 * np.kron(a, a) + 0.5 * (0 + 1.0 * np.kron(b, a)) + 0.0 * np.kron(b, b))
+        assert got.data.tobytes() == expect.tobytes() == kron_sum(terms).tobytes()
+        assert np.signbit(np.kron(a, b).real[np.kron(a, b) == 0]).any()
 
 
 class TestMixtureBoundary:
@@ -283,17 +309,27 @@ class TestMixtureBoundary:
         assert branches == []
 
     @pytest.mark.parametrize("dense", [False, True])
-    @pytest.mark.parametrize("rho_dims", [(2, 2), (4, 4), (2, 2, 4)])
+    @pytest.mark.parametrize("rho_dims", [(2, 2), (4, 8), (8, 4)])
     def test_nested_state_on_other_dims(self, rho_dims, dense, branches):
-        side = int(np.prod(rho_dims))
-        rho = density(self.factor(side, dense), rho_dims)
-        with pytest.raises(ValueError, match="has dims"):
-            mixture([(0.5, self.P, self.P), (0.5, rho)], (2,) * 4)
+        # a nested sum whose factor sides make another side than the state's
+        nested = [(0.5, self.P, self.P), (0.5, *(self.factor(n, dense) for n in rho_dims))]
+        with pytest.raises(ValueError, match="do not make side 16"):
+            mixture([(0.5, self.P, self.P), (0.5, nested)], (2,) * 4)
+        with pytest.raises(ValueError, match="do not make side 16"):
+            mixture([(0.5, self.P, self.P), (0.5, [(1.0, nested)])], (2,) * 4)
         assert branches == []
 
     def test_term_of_wrong_length(self):
-        with pytest.raises(ValueError, match=r"\(c, A, B\) or \(c, rho\)"):
-            mixture([(1.0, self.P, self.P, self.P)], (2,) * 4)
+        for term in [(1.0, self.P, self.P, self.P), (1.0,), (1.0, [(1.0, self.P, self.P, self.P)])]:
+            with pytest.raises(ValueError, match=r"\(c, A, B\) or \(c, \[terms\]\)"):
+                mixture([term], (2,) * 4)
+
+    def test_npt_state_term_refused(self):
+        # its partial transpose across A2B2:A3B3 is not PSD: no sum of products is this state
+        rho = random_state((3,) * 4, 5)
+        assert np.linalg.eigvalsh(partial_transpose(rho.mat, {2, 3}).data)[0] < -0.01
+        with pytest.raises(ValueError, match="needs a non-empty list of terms"):
+            mixture([(1.0, rho)], rho.dims)
 
 
 def _family_networks():
