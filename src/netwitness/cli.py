@@ -2,16 +2,16 @@
 
 Subcommands: witness build, network build, verify reconstruction, verify ppt,
 protocol run, protocol shots, scan choi-bound-entangled, graph demo. Every
-run emits a deterministic JSON (or CSV) report; exit code 0 on success, 1 on
-verification failure, 2 on usage errors.
+run emits a deterministic JSON (or CSV) report; exit code 0 on success, 1 on a failed
+check (also a reconstruction whose target is within tolerance), 2 on usage errors.
 
-The family commands look ``--family`` up in one table, ``FAMILIES``. Each
-row pairs a witness with the network state that realizes it, so every name,
-aliases included, serves every family command. ``--d`` defaults to the row's
-local dimension; a row without one takes d = len(--lambda) and is the only
-kind that accepts ``--lambda``. A ``--d`` or ``--eta`` that the built object
-does not carry is a usage error, never silently replaced. Named input states
-come from the second table, ``STATES``.
+The family commands look ``--family`` up in one table, ``FAMILIES``. Each row
+pairs a witness with the network state that realizes it; every name serves every
+family command, and each builds the witness first, so a ``--lambda`` that is no
+witness is a usage error. ``--d`` defaults to the row's local dimension; a row
+without one takes d = len(--lambda) and is the only kind that accepts it. A
+``--d`` or ``--eta`` the built object does not carry is a usage error, never
+silently replaced. Named input states come from the second table, ``STATES``.
 """
 
 from __future__ import annotations
@@ -132,6 +132,7 @@ def build_witness(family: str, d: int | None, lam, seed: int = 0):
 
 def build_network(family: str, d: int | None, lam, seed: int = 0,
                   eta: float | None = None):
+    build_witness(family, d, lam, seed)  # refuses a non-witness --lambda
     n = _build("network", family, d, lam, seed, eta)
     if eta is not None and n.eta != eta:
         raise ValueError(f"eta is fixed at {n.eta} for the {family} family")
@@ -192,7 +193,7 @@ def cmd_verify_reconstruction(args) -> int:
     rec = networks.reconstruct_witness(n)
     target = n.recon_constant * n.witness.data.T
     max_err = float(np.max(np.abs(rec.data - target)))
-    passed = max_err <= RECON_TOL
+    passed = max_err <= RECON_TOL < np.max(np.abs(target))
     _emit(args, "verify reconstruction", inputs, {
         "recon_constant": n.recon_constant,
         "eta": n.eta,
@@ -218,7 +219,6 @@ def cmd_verify_ppt(args) -> int:
 
 def _protocol_inputs(args, *echo):
     lam, inputs = _family_inputs(args, "state", "state_file", "fidelity", *echo)
-    build_witness(args.family, args.d, lam, seed=args.seed)  # rejects a non-witness --lambda
     n = build_network(args.family, args.d, lam, seed=args.seed)
     return n, _load_state(args, n.d), inputs
 

@@ -196,18 +196,24 @@ def test_protocol_rejects_a_lambda_that_is_no_witness(capsys, tmp_path, command)
     err = usage_error(["protocol", *command, "--family", "pbd", "--lambda", "0.1,0.9",
                        "--state-file", str(path)], capsys)
     assert "cyclic inequality violated" in err
-    # the network itself is still built: the identity holds for any lambda
-    assert main(["network", "build", "--family", "pbd", "--lambda", "0.1,0.9",
-                 "--out", str(tmp_path / "net.json")]) == 0
 
 
-@pytest.mark.parametrize("command", [["run"], ["shots", "--shots", "100"]],
-                         ids=["run", "shots"])
-def test_protocol_rejects_a_lambda_the_falsifier_misses(capsys, command):
+@pytest.mark.parametrize("lam", [
+    "0.1,0.9",
     # 9 l1 l2 - (2 - 3 l0)^2 = -1/50176: no witness, though 2,000 random
     # falsifier trials find no violation; decided exactly at d = 3
-    err = usage_error(["protocol", *command, "--family", "pbd", "--lambda", "4/7,5/224,13/32",
-                       "--state", "maximally-mixed"], capsys)
+    "4/7,5/224,13/32",
+    "0.1,0.3,0.3,0.3",  # the falsifier's worst value is 10 > 4
+], ids=["d2-rule", "d3-rule", "d4-falsifier"])
+@pytest.mark.parametrize("command", [
+    ["network", "build"],
+    ["verify", "reconstruction"],
+    ["verify", "ppt"],
+    ["protocol", "run", "--state", "maximally-mixed"],
+    ["protocol", "shots", "--state", "maximally-mixed", "--shots", "100"],
+], ids=["network-build", "verify-reconstruction", "verify-ppt", "protocol-run", "protocol-shots"])
+def test_family_commands_reject_a_lambda_that_is_no_witness(capsys, command, lam):
+    err = usage_error([*command, "--family", "pbd", "--lambda", lam], capsys)
     assert "not a valid Bell-diagonal witness: cyclic inequality violated" in err
 
 
@@ -252,6 +258,15 @@ class TestVerify:
             ["verify", "reconstruction", "--family", family] + extra, capsys)
         assert code == 0
         assert report["outputs"]["passed"] is True
+
+    def test_reconstruction_fails_when_the_target_is_within_tolerance(self, capsys):
+        # recon_constant is 1.7e-16 here, so a residual under 1e-9 shows nothing
+        code, report = run_json(
+            ["verify", "reconstruction", "--family", "decomposable", "--d", "3",
+             "--eta", "0.9999999999999999", "--seed", "1"], capsys)
+        assert code == 1
+        assert report["outputs"]["max_elementwise_error"] <= 1e-9
+        assert report["outputs"]["passed"] is False
 
     def test_reconstruction_custom_eta(self, capsys):
         code, report = run_json(
@@ -473,17 +488,17 @@ class TestReportFormats:
 @pytest.mark.parametrize("argv", [
     [],
     ["network", "build", "--family", "bh", "--d", "4"],
-    ["network", "build", "--family", "pbd", "--lambda", "0.4,0.3,0.2,0.1"],
     ["verify", "reconstruction", "--family", "pbd", "--d", "3", "--lambda", "2/3,1/3,0"],
     ["verify", "ppt", "--family", "smolin"],
     ["protocol", "run", "--family", "two-qubit", "--state", "psi-minus"],
     ["witness", "build", "--family", "choi"],
     ["protocol", "run", "--family", "choi", "--state", "isotropic", "--fidelity", "0.8"],
-], ids=["import", "network-bh4", "network-pbd4", "verify-reconstruction-pbd3",
+], ids=["import", "network-bh4", "verify-reconstruction-pbd3",
         "verify-ppt-smolin", "protocol-run-two-qubit", "witness-build-choi",
         "protocol-run-choi-isotropic"])
 def test_command_leaves_numpy_random_unloaded(tmp_path, argv):
-    # loading numpy.random adds about 5 MB to a command's peak RSS
+    # loading numpy.random adds about 5 MB to a command's peak RSS; a pbd
+    # command at d >= 4 loads it, since the falsifier screens --lambda there
     code = ("import sys, netwitness\n"
             "from netwitness.cli import main\n"
             f"argv = {argv!r}\n"
