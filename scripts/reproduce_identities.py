@@ -21,7 +21,7 @@ from netwitness.networks import (
 from netwitness.protocol import bell_overlap_raw
 from netwitness.states import random_state
 from netwitness.tensor import density
-from netwitness.witnesses import decomposable_witness
+from netwitness.witnesses import decomposable_witness, flip_witness
 
 
 def main() -> None:
@@ -29,10 +29,11 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
+    q = random_state((3, 3), rng_seed=args.seed, rank=1)
     nets = [
         flip_network(2),
         flip_network(3),
-        decomposable_network(random_state((3, 3), rng_seed=args.seed, rank=1)),
+        decomposable_network(decomposable_witness(q)),
         choi_network(),
         reduction_network(2),
         reduction_network(3),
@@ -50,7 +51,7 @@ def main() -> None:
 
     print("\ntwo-qubit (flip, d = 2) readout identity residuals (20 random states):")
     net = flip_network(2)
-    w = decomposable_witness(density(bell.bell_projector(2, 0, 0).data, (2, 2)))
+    w = flip_witness(2)
     worst = 0.0
     for seed in range(20):
         rho = random_state((2, 2), rng_seed=seed)

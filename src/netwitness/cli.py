@@ -5,13 +5,14 @@ protocol run, protocol shots, scan choi-bound-entangled, graph demo. Every
 run emits a deterministic JSON (or CSV) report; exit code 0 on success, 1 on a failed
 check (also a reconstruction whose target is within tolerance), 2 on usage errors.
 
-The family commands look ``--family`` up in one table, ``FAMILIES``. Each row
-pairs a witness with the network state that realizes it; every name serves every
-family command, and each builds the witness first, so a ``--lambda`` that is no
-witness is a usage error. ``--d`` defaults to the row's local dimension; a row
-without one takes d = len(--lambda) and is the only kind that accepts it. A
-``--d`` or ``--eta`` the built object does not carry is a usage error, never
-silently replaced. Named input states come from the second table, ``STATES``.
+The family commands look ``--family`` up in one table, ``FAMILIES``. A row is
+``witness(d, lam, seed)`` plus ``network(w, eta)``, the map that realizes that
+witness as a network state; every name serves every family command, and each
+realizes the one witness it builds, so a ``--lambda`` that is no witness is a
+usage error. ``--d`` defaults to the row's local dimension; a row without one
+takes d = len(--lambda) and is the only kind that accepts it. A ``--d`` or
+``--eta`` the built object does not carry is a usage error, never silently
+replaced. Named input states come from the second table, ``STATES``.
 """
 
 from __future__ import annotations
@@ -41,12 +42,13 @@ _NPT_A2A3 = (("A2A3:B2B3", "<", PPT_FAIL_CEILING),)
 
 @dataclass(frozen=True)
 class Family:
-    """A witness family with the network state that realizes it.
+    """A witness family with the map that realizes its witness as a network state.
 
-    The builders are called as ``witness(d, lam, seed)`` and
-    ``network(d, lam, seed, eta)``. ``d`` is the default local dimension
-    (None: d = len(lam)); ``ppt(d)`` is the documented partial-transpose
-    profile, a sequence of (cut, relation, bound) checks for `verify ppt`.
+    A row is ``witness(d, lam, seed)``, which builds the witness, plus
+    ``network(w, eta)``, which builds the network state that realizes the
+    witness ``w``. ``d`` is the default local dimension (None: d = len(lam));
+    ``ppt(d)`` is the documented partial-transpose profile, a sequence of
+    (cut, relation, bound) checks for `verify ppt`.
     """
 
     d: int | None
@@ -55,41 +57,29 @@ class Family:
     ppt: Callable = lambda d: ()
 
 
-def _seeded_q(d: int, seed: int):
-    return states.random_state((d, d), rng_seed=seed, rank=1)
-
-
-def _decomposable_network(d, lam, seed, eta):
-    q = _seeded_q(d, seed)
-    if eta is None:
-        return networks.decomposable_network(q)
-    # raised threshold: assemble through the general two-term split
-    w = witnesses.decomposable_witness(q)
-    return networks.network_from_decomposition(w, eta, family=w.family)
-
-
-_FLIP = Family(2, lambda d, *_: witnesses.decomposable_witness(
-                   DensityOperator(bell.bell_projector(d))),
-               lambda d, *_: networks.flip_network(d), lambda d: _PPT_A2A3)
-# flip with d fixed at 2, so that _build rejects any other --d
-_TWO_QUBIT = Family(2, lambda d, *a: _FLIP.witness(2, *a), lambda d, *a: _FLIP.network(2, *a),
-                    _FLIP.ppt)
+_FLIP = Family(2, lambda d, *_: witnesses.flip_witness(d),
+               lambda w, _: networks.flip_network(w.d), lambda d: _PPT_A2A3)
+# flip with d fixed at 2, so that build_witness rejects any other --d
+_TWO_QUBIT = Family(2, lambda d, *a: _FLIP.witness(2, *a), _FLIP.network, _FLIP.ppt)
 _PBD = Family(None, lambda d, lam, *_: witnesses.bell_diagonal_witness(lam),
-              lambda d, lam, *_: networks.pbd_network(lam))
+              lambda w, _: networks.pbd_network(w.lambda_vec))
 _BH = Family(4, lambda d, *_: witnesses.breuer_hall_witness(d),
-             lambda d, *_: networks.bh_network(d))
+             lambda w, _: networks.bh_network(w.d))
 FAMILIES = {
     "two-qubit": _TWO_QUBIT,
     "two-qubit-pt": _TWO_QUBIT,
     "flip": _FLIP,
+    # a raised threshold goes through the general two-term split
     "decomposable": Family(3, lambda d, lam, seed: witnesses.decomposable_witness(
-        _seeded_q(d, seed)), _decomposable_network),
+                               states.random_state((d, d), rng_seed=seed, rank=1)),
+                           lambda w, eta: networks.decomposable_network(w) if eta is None
+                           else networks.network_from_decomposition(w, eta)),
     "pbd": _PBD,
     "bell-diagonal": _PBD,
     "choi": Family(3, lambda *_: witnesses.choi_witness(), lambda *_: networks.choi_network(),
                    lambda d: _NPT_A2A3),
     "reduction": Family(3, lambda d, *_: witnesses.reduction_witness(d),
-                        lambda d, *_: networks.reduction_network(d),
+                        lambda w, _: networks.reduction_network(w.d),
                         lambda d: _PPT_TWO_TWO if d == 2 else _NPT_A2A3),
     "smolin": Family(2, lambda *_: witnesses.bell_diagonal_witness((0.5, 0.5), family="smolin"),
                      lambda *_: networks.smolin_network(), lambda d: _PPT_TWO_TWO),
@@ -115,25 +105,20 @@ def _parse_lambda(text: str):
     return {"text": text, "values": list(values)}, values
 
 
-def _build(part: str, family: str, d: int | None, lam, *args):
+def build_witness(family: str, d: int | None, lam, seed: int = 0):
     row = FAMILIES[family]
     if (lam is None) == (row.d is None):
         rule = "is required for" if row.d is None else "does not apply to"
         raise ValueError(f"--lambda {rule} the {family} family")
-    built = getattr(row, part)(row.d if d is None else d, lam, *args)
-    if d is not None and built.d != d:
-        raise ValueError(f"--d {d} does not match the {family} family, which has d = {built.d}")
-    return built
-
-
-def build_witness(family: str, d: int | None, lam, seed: int = 0):
-    return _build("witness", family, d, lam, seed)
+    w = row.witness(row.d if d is None else d, lam, seed)
+    if d is not None and w.d != d:
+        raise ValueError(f"--d {d} does not match the {family} family, which has d = {w.d}")
+    return w
 
 
 def build_network(family: str, d: int | None, lam, seed: int = 0,
                   eta: float | None = None):
-    build_witness(family, d, lam, seed)  # refuses a non-witness --lambda
-    n = _build("network", family, d, lam, seed, eta)
+    n = FAMILIES[family].network(build_witness(family, d, lam, seed), eta)
     if eta is not None and n.eta != eta:
         raise ValueError(f"eta is fixed at {n.eta} for the {family} family")
     return n

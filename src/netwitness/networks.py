@@ -20,9 +20,9 @@ from fractions import Fraction
 import numpy as np
 
 from . import bell
-from .tensor import (DensityOperator, Mat, _pt_shift, _read_only, hermitian_part, mixture,
-                     pairing, partial_transpose)
-from .witnesses import Witness, _bell_diagonal_matrix, _breuer_hall_paired, check_lambda_vec
+from .tensor import DensityOperator, Mat, _pt_shift, _read_only, hermitian_part, mixture, pairing
+from .witnesses import (Witness, _bell_diagonal_matrix, _breuer_hall_paired, check_lambda_vec,
+                        flip_witness)
 
 SITE_NAMES = ("A2", "B2", "A3", "B3")
 # The 7 bipartitions: cut k transposes the sites i with bit i of 2k + 1 set,
@@ -91,22 +91,19 @@ def two_qubit_network() -> NetworkState:
     return flip_network(2)
 
 
-def decomposable_network(q: DensityOperator, lam: float | None = None,
+def decomposable_network(w: Witness, lam: float | None = None,
                          family: str = "decomposable") -> NetworkState:
-    """Network state for the partial-transpose witness of a PSD unit-trace Q.
+    """Network state for a decomposable witness W = Q^PT (``decomposable_witness``).
 
-    The A2B2 factors mix (lam*1 -/+ (Q^PT)^T) so the contraction returns the
-    transpose of W = Q^PT; lam is the spectral radius of Q^PT (overridable
-    when known exactly).
+    The A2B2 factors mix (lam*1 -/+ W^T) so the contraction returns the
+    transpose of W; lam is the spectral radius of W (overridable when known
+    exactly).
     """
-    if len(q.dims) != 2 or q.dims[0] != q.dims[1]:
-        raise ValueError("Q must live on d (x) d")
-    d = q.dims[0]
-    wq = partial_transpose(q.mat, {1})
+    d, wq = w.d, w.mat
     if lam is None:
         lam = float(np.max(np.abs(np.linalg.eigh(wq.data)[0])))
     if abs(lam * d * d - 1.0) < 1e-12:
-        raise ValueError("Q^PT proportional to the identity: degenerate denominator")
+        raise ValueError("W proportional to the identity: degenerate denominator")
     denom = d**3 * lam + d - 2
     c1 = (d * d * lam - 1) / denom
     c2 = (d - 1) * (d * d * lam + 1) / denom
@@ -126,8 +123,7 @@ def decomposable_network(q: DensityOperator, lam: float | None = None,
 
 def flip_network(d: int) -> NetworkState:
     """Network state for the flip witness F/d; spectral radius 1/d is exact."""
-    q = DensityOperator(bell.bell_projector(d, 0, 0))
-    return decomposable_network(q, lam=1.0 / d, family="flip")
+    return decomposable_network(flip_witness(d), lam=1.0 / d, family="flip")
 
 
 def pbd_network(lam, family: str = "pbd") -> NetworkState:
@@ -228,15 +224,14 @@ def solve_decomposition(w: Witness, eta: float):
     return [(a / (k * gap), wn, pi) for a, gap, wn, pi in split], float(k)
 
 
-def network_from_decomposition(w: Witness, eta: float, *,
-                               family: str = "custom") -> NetworkState:
-    """Assemble the solved decomposition into a network state."""
+def network_from_decomposition(w: Witness, eta: float) -> NetworkState:
+    """Assemble the solved decomposition into a network state labelled ``w.family``."""
     terms, k = solve_decomposition(w, eta)
     return NetworkState(
         state=mixture(terms, w.mat.dims * 2),
         eta=eta,
         recon_constant=1.0 / k,
-        family=family,
+        family=w.family,
         witness=w.mat,
     )
 

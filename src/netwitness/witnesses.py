@@ -78,7 +78,12 @@ def check_lambda_vec(lam) -> tuple:
 
 def two_qubit_pt_witness() -> Witness:
     """The flip witness at d = 2: (|phi+><phi+|)^{T_B} = 0.5*1 - |psi-><psi-|."""
-    return decomposable_witness(DensityOperator(bell.bell_projector(2, 0, 0)))
+    return flip_witness(2)
+
+
+def flip_witness(d: int) -> Witness:
+    """The flip witness F/d = P_00^PT, threshold 1/d."""
+    return decomposable_witness(DensityOperator(bell.bell_projector(d, 0, 0)))
 
 
 def decomposable_witness(q: DensityOperator) -> Witness:

@@ -84,7 +84,7 @@ def test_acceptance_02_reconstruction_suite():
         for d in (2, 3):
             for seed in range(5):
                 q = random_state((d, d), rng_seed=100 * d + seed, rank=1)
-                net = decomposable_network(q)
+                net = decomposable_network(decomposable_witness(q))
                 lam = float(np.max(np.abs(np.linalg.eigvalsh(
                     partial_transpose(q.mat, {1}).data))))
                 cases.append((net, 2 * (d - 1) / (d * (d**3 * lam + d - 2))))

@@ -321,6 +321,24 @@ class TestBuildCommands:
         state = Mat.from_dict(out["state"])
         assert abs(np.trace(state.data) - 1) <= 1e-10
 
+    @pytest.mark.parametrize("argv", [
+        ["network", "build"],
+        ["verify", "reconstruction"],
+        ["verify", "reconstruction", "--eta", "0.5"],
+        ["protocol", "run", "--state", "phi-plus"],
+    ], ids=["network-build", "verify-reconstruction", "verify-reconstruction-eta", "protocol-run"])
+    def test_decomposable_q_is_drawn_once(self, capsys, monkeypatch, argv):
+        draws = []
+        random_state = states.random_state
+
+        def counted(*args, **kwargs):
+            draws.append(args)
+            return random_state(*args, **kwargs)
+
+        monkeypatch.setattr(states, "random_state", counted)
+        assert main(argv + ["--family", "decomposable", "--seed", "7"]) == 0
+        assert draws == [((3, 3),)]  # the seeded Q, once
+
     def test_unknown_family_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["witness", "build", "--family", "nonsense"])
@@ -374,11 +392,12 @@ class TestFamilyTable:
             assert main(command + family_args(family) + ["--out", out]) == 0, command
             assert json.loads(Path(out).read_text())["outputs"].get("passed", True) is True
 
-    @pytest.mark.parametrize("family", list(FAMILIES))
-    def test_witness_pairs_with_its_network(self, family):
+    @pytest.mark.parametrize("family, eta", [(f, None) for f in FAMILIES] + [("decomposable", 0.5)],
+                             ids=[*FAMILIES, "decomposable-eta"])
+    def test_witness_pairs_with_its_network(self, family, eta):
         lam = (2 / 3, 1 / 3, 0.0) if FAMILIES[family].d is None else None
         w = build_witness(family, None, lam).mat.data
-        n = build_network(family, None, lam)
+        n = build_network(family, None, lam, eta=eta)
         # the network reconstructs a positive multiple of the row's witness
         # (d - 2 for the scaled Breuer-Hall witness, 1 for the rest)
         scale = np.vdot(w, n.witness.data).real / np.vdot(w, w).real

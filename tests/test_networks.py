@@ -35,6 +35,7 @@ from netwitness.tensor import (
     partial_transpose,
 )
 from netwitness.witnesses import (
+    Witness,
     breuer_hall_witness,
     choi_witness,
     decomposable_witness,
@@ -175,7 +176,7 @@ class TestDecomposableNetwork:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_unit_trace_and_reconstruction(self, d):
         q = random_state((d, d), rng_seed=d, rank=1)
-        net = decomposable_network(q)
+        net = decomposable_network(decomposable_witness(q))
         assert np.isclose(np.trace(net.state.data), 1.0, atol=1e-12)
         assert np.linalg.eigvalsh(net.state.data)[0] >= -1e-12
         assert recon_error(net) <= 1e-9
@@ -183,16 +184,20 @@ class TestDecomposableNetwork:
     def test_recon_constant_formula(self):
         d = 3
         q = random_state((d, d), rng_seed=17, rank=1)
-        net = decomposable_network(q)
+        net = decomposable_network(decomposable_witness(q))
         lam = float(np.max(np.abs(
             np.linalg.eigvalsh(partial_transpose(q.mat, {1}).data))))
         assert np.isclose(net.recon_constant,
                           2 * (d - 1) / (d * (d**3 * lam + d - 2)), rtol=1e-12)
 
     def test_rejects_identity_like_q(self):
-        q = density(np.eye(4) / 4, (2, 2))
+        # the maximally mixed Q gives W = 1/d^2, which is no witness
+        with pytest.raises(ValueError, match="detects nothing"):
+            decomposable_witness(density(np.eye(4) / 4, (2, 2)))
+        # a witness of spectral radius exactly 1/d^2 still reaches the guard
+        w = Witness(Mat(np.diag([1.0, -1.0, 1.0, 1.0]) / 4, (2, 2)), "decomposable", 0.5)
         with pytest.raises(ValueError, match="degenerate"):
-            decomposable_network(q)
+            decomposable_network(w)
 
     def test_flip_instance_matches_symmetric_form(self):
         # mixture of normalized antisymmetric/symmetric projectors
@@ -609,7 +614,8 @@ Q3 = random_state((3, 3), rng_seed=4, rank=1)
 FAMILIES = [
     ("flip2", lambda: flip_network(2),
      lambda: old_decomposable_matrix(density(bell.bell_projector(2, 0, 0).data, (2, 2)), 1 / 2)),
-    ("decomposable", lambda: decomposable_network(Q3), lambda: old_decomposable_matrix(Q3)),
+    ("decomposable", lambda: decomposable_network(decomposable_witness(Q3)),
+     lambda: old_decomposable_matrix(Q3)),
     ("flip3", lambda: flip_network(3),
      lambda: old_decomposable_matrix(density(bell.bell_projector(3, 0, 0).data, (3, 3)), 1 / 3)),
     ("pbd4", lambda: pbd_network((0.4, 0.3, 0.2, 0.1)),
@@ -793,7 +799,7 @@ class TestMixtureCertificate:
             np.linalg.eigvalsh(partial_transpose(Q3.mat, {1}).data))))
         assert radius * 9 > 1 / 0.9
         with pytest.raises(ValueError, match="eigenvalue below"):
-            decomposable_network(Q3, lam=0.9 * radius)
+            decomposable_network(decomposable_witness(Q3), lam=0.9 * radius)
 
 
 def test_builds_decompose_no_matrix_larger_than_a_factor(monkeypatch):

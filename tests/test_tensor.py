@@ -338,11 +338,11 @@ def _family_networks():
     rows = {id(f): f for f in cli.FAMILIES.values()}.values()
     for f in rows:
         if f.d is None:
-            yield f.network(None, (2 / 3, 1 / 3, 0.0), 0, None)
-            yield f.network(None, (0.4, 0.3, 0.2, 0.1), 0, None)
+            yield f.network(f.witness(None, (2 / 3, 1 / 3, 0.0), 0), None)
+            yield f.network(f.witness(None, (0.4, 0.3, 0.2, 0.1), 0), None)
         else:
-            yield f.network(f.d, None, 7, None)
-    yield cli.FAMILIES["decomposable"].network(3, None, 7, 0.5)
+            yield f.network(f.witness(f.d, None, 7), None)
+    yield cli.build_network("decomposable", 3, None, 7, 0.5)
     yield networks.bh_network(6)
 
 
@@ -358,8 +358,8 @@ class TestMixtureFamilies:
         (lambda: networks.bh_network(6), True),
         (lambda: networks.pbd_network((0.4, 0.3, 0.2, 0.1)), True),
         (lambda: graphs.graph_network(graphs.cl4_graph(), graphs.CL4_LABELS), False),
-        (lambda: cli.FAMILIES["decomposable"].network(3, None, 7, None), False),
-        (lambda: cli.FAMILIES["decomposable"].network(3, None, 7, 0.5), False),
+        (lambda: cli.build_network("decomposable", 3, None, 7), False),
+        (lambda: cli.build_network("decomposable", 3, None, 7, 0.5), False),
     ])
     def test_sparse_families_scatter_dense_ones_broadcast(self, build, scatters, branches):
         build()
