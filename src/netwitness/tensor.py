@@ -86,10 +86,14 @@ class Mat:
         missing = [key for key in ("dims", "re", "im") if key not in obj]
         if missing:
             raise ValueError(f"matrix JSON is missing key(s): {', '.join(missing)}")
+        for key in ("re", "im"):  # a nested list is left to the shape check below
+            for x in obj[key] if isinstance(obj[key], list) else ():
+                if isinstance(x, bool) or not isinstance(x, (int, float, list)):
+                    raise ValueError(f"matrix JSON field {key} must hold numbers, not {x!r}")
         try:
             dims = tuple(operator.index(d) for d in obj["dims"])
             re, im = (np.asarray(obj[key], dtype=float) for key in ("re", "im"))
-        except TypeError as exc:
+        except (TypeError, OverflowError) as exc:
             raise ValueError(f"matrix JSON has a value of the wrong type: {exc}") from None
         if any(isinstance(d, bool) for d in obj["dims"]):
             raise ValueError(f"matrix JSON field dims must hold integers, not {obj['dims']!r}")

@@ -115,7 +115,14 @@ class TestProtocolRun:
         ("re", {"dims": [2**32, 2**32], "re": [], "im": []},
          f"matrix JSON field re must list prod(dims)^2 = {2**128} numbers, "
          "not an array of shape (0,)"),
-    ], ids=["short-re", "nested-im", "boolean-dims", "overflowing-dims"])
+        # a string or boolean entry once read as a number and the command ran
+        ("re", {"dims": [2, 2], "re": ["0.5"] + [0.0] * 4 + [0.5] + [0.0] * 10, "im": [0.0] * 16},
+         "matrix JSON field re must hold numbers, not '0.5'"),
+        ("im", {"dims": [2, 2], "re": [0.25] + [0.0] * 4 + [0.75] + [0.0] * 10,
+                "im": [False] * 16},
+         "matrix JSON field im must hold numbers, not False"),
+    ], ids=["short-re", "nested-im", "boolean-dims", "overflowing-dims", "string-re",
+            "boolean-im"])
     def test_malformed_state_file_names_the_field(self, capsys, tmp_path, field, content,
                                                   message):
         path = tmp_path / "state.json"

@@ -485,13 +485,31 @@ class TestWilson:
         assert hi >= 1 - 1e-12
 
 
-def test_teleport_contraction_matches_dense_computation():
-    # oracle: tr_12[(rho (x) N) P] assembled in the full 64-dim space
-    net = two_qubit_network()
-    rho = random_state((2, 2), rng_seed=33)
+@pytest.mark.parametrize("make, seed", [
+    (two_qubit_network, 33),
+    (choi_network, 34),
+    (lambda: flip_network(3), 35),
+    (lambda: reduction_network(3), 36),
+], ids=["two-qubit", "choi", "flip3", "reduction3"])
+def test_teleport_contraction_matches_dense_computation(make, seed):
+    # oracle: tr_12[(rho (x) N) P] assembled in the full d^6-dim space
+    net = make()
+    d = net.d
+    rho = random_state((d, d), rng_seed=seed)
     joint = np.kron(rho.data, net.state.data)
-    pa = embed(bell.bell_projector(2, 0, 0).data, [0, 2], (2,) * 6)
-    pb = embed(bell.bell_projector(2, 0, 0).data, [1, 3], (2,) * 6)
-    m = partial_trace(joint @ pa @ pb, (2,) * 6, keep=(4, 5))
-    k = teleport_contraction(rho.data, net.state.data, 4, 4)
-    assert np.max(np.abs(m - k / 4)) <= 1e-12
+    pa = embed(bell.bell_projector(d, 0, 0).data, [0, 2], (d,) * 6)
+    pb = embed(bell.bell_projector(d, 0, 0).data, [1, 3], (d,) * 6)
+    m = partial_trace(joint @ pa @ pb, (d,) * 6, keep=(4, 5))
+    k = teleport_contraction(rho.data, net.state.data, d * d, d * d)
+    assert np.max(np.abs(m - k / (d * d))) <= 1e-12
+
+
+def test_teleport_contraction_on_unequal_layers():
+    # layer 2 of side 4, layer 3 of side 9: the (d2, d3) signature allows it
+    rng = np.random.default_rng(37)
+    rho = random_state((2, 2), rng_seed=38).data
+    net = rng.normal(size=(36, 36)) + 1j * rng.normal(size=(36, 36))
+    k = teleport_contraction(rho, net, 4, 9)
+    assert k.shape == (9, 9)
+    assert np.allclose(k, np.einsum("ij,ixjy->xy", rho, net.reshape(4, 9, 4, 9)),
+                       rtol=0, atol=1e-12)

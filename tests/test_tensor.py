@@ -72,7 +72,11 @@ class TestMat:
         with pytest.raises(ValueError, match=f"missing key.*{key}"):
             Mat.from_dict(obj)
 
-    @pytest.mark.parametrize("obj", [[1.0, 0.0], {"dims": 2, "re": [1, 0, 0, 1], "im": [0] * 4}])
+    @pytest.mark.parametrize("obj", [
+        [1.0, 0.0],
+        {"dims": 2, "re": [1, 0, 0, 1], "im": [0] * 4},
+        {"dims": [2], "re": [10**400, 0, 0, 1], "im": [0] * 4},  # past float range
+    ])
     def test_from_dict_wrong_type(self, obj):
         with pytest.raises(ValueError, match="list|wrong type"):
             Mat.from_dict(obj)
@@ -89,7 +93,15 @@ class TestMat:
         ({"dims": [2, 2], "re": [0.25] * 16, "im": [0.0]}, r"field im must list .* 16 numbers"),
         ({"dims": [2, True], "re": [0.25] * 4, "im": [0.0] * 4}, "dims must hold integers"),
         ({"dims": [2**32, 2**32], "re": [], "im": []}, rf"field re must list .* {2**128} numbers"),
-    ], ids=["short-re", "short-im", "boolean-dims", "overflowing-dims"])
+        # strings and booleans once read as numbers: "0.5" as 0.5 and true as 1.0
+        ({"dims": [2, 2], "re": ["0.25"] + [0.0] * 15, "im": [0.0] * 16},
+         "field re must hold numbers, not '0.25'"),
+        ({"dims": [2, 2], "re": [0.25] * 16, "im": [0.0] * 15 + [True]},
+         "field im must hold numbers, not True"),
+        ({"dims": [2, 2], "re": [0.25] * 16, "im": [0.0] * 15 + ["x"]},
+         "field im must hold numbers, not 'x'"),
+    ], ids=["short-re", "short-im", "boolean-dims", "overflowing-dims", "string-re",
+            "boolean-im", "non-numeric-string-im"])
     def test_from_dict_names_the_malformed_field(self, obj, message):
         with pytest.raises(ValueError, match=message):
             Mat.from_dict(obj)
