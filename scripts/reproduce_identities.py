@@ -12,8 +12,8 @@ from netwitness import bell, graphs
 from netwitness.networks import (
     bh_network,
     choi_network,
-    decomposable_network,
     flip_network,
+    network_from_decomposition,
     reconstruct_witness,
     reduction_network,
     smolin_network,
@@ -33,7 +33,7 @@ def main() -> None:
     nets = [
         flip_network(2),
         flip_network(3),
-        decomposable_network(decomposable_witness(q)),
+        network_from_decomposition(decomposable_witness(q), 1 / 3),
         choi_network(),
         reduction_network(2),
         reduction_network(3),

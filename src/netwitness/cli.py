@@ -69,11 +69,10 @@ FAMILIES = {
     "two-qubit": _TWO_QUBIT,
     "two-qubit-pt": _TWO_QUBIT,
     "flip": _FLIP,
-    # a raised threshold goes through the general two-term split
     "decomposable": Family(3, lambda d, lam, seed: witnesses.decomposable_witness(
                                states.random_state((d, d), rng_seed=seed, rank=1)),
-                           lambda w, eta: networks.decomposable_network(w) if eta is None
-                           else networks.network_from_decomposition(w, eta)),
+                           lambda w, eta: networks.network_from_decomposition(
+                               w, w.eta if eta is None else eta)),
     "pbd": _PBD,
     "bell-diagonal": _PBD,
     "choi": Family(3, lambda *_: witnesses.choi_witness(), lambda *_: networks.choi_network(),

@@ -91,39 +91,27 @@ def two_qubit_network() -> NetworkState:
     return flip_network(2)
 
 
-def decomposable_network(w: Witness, lam: float | None = None,
-                         family: str = "decomposable") -> NetworkState:
-    """Network state for a decomposable witness W = Q^PT (``decomposable_witness``).
+def flip_network(d: int) -> NetworkState:
+    """Network state for the flip witness F/d = P_00^PT, threshold 1/d.
 
-    The A2B2 factors mix (lam*1 -/+ W^T) so the contraction returns the
-    transpose of W; lam is the spectral radius of W (overridable when known
-    exactly).
+    The A2B2 factors mix (1/d -/+ F^T/d), the normalized antisymmetric and
+    symmetric projectors, with the readout pair, so the contraction returns
+    the transpose of F/d; 1/d is its exact spectral radius.
     """
-    d, wq = w.d, w.mat
-    if lam is None:
-        lam = float(np.max(np.abs(np.linalg.eigh(wq.data)[0])))
-    if abs(lam * d * d - 1.0) < 1e-12:
-        raise ValueError("W proportional to the identity: degenerate denominator")
+    w, lam = flip_witness(d), 1.0 / d
     denom = d**3 * lam + d - 2
-    c1 = (d * d * lam - 1) / denom
-    c2 = (d - 1) * (d * d * lam + 1) / denom
-    wqt = wq.data.T
-    eye = np.eye(d * d)
+    wqt, eye = w.mat.data.T, np.eye(d * d)
     first = hermitian_part((lam * eye - wqt) / (lam * d * d - 1))
     second = hermitian_part((lam * eye + wqt) / (lam * d * d + 1))
     p00, rest = _readouts(d)
     return NetworkState(
-        state=mixture([(c1, first, p00), (c2, second, rest)], (d,) * 4),
-        eta=1.0 / d,
+        state=mixture([((d * d * lam - 1) / denom, first, p00),
+                       ((d - 1) * (d * d * lam + 1) / denom, second, rest)], (d,) * 4),
+        eta=lam,
         recon_constant=2 * (d - 1) / (d * denom),
-        family=family,
-        witness=wq,
+        family="flip",
+        witness=w.mat,
     )
-
-
-def flip_network(d: int) -> NetworkState:
-    """Network state for the flip witness F/d; spectral radius 1/d is exact."""
-    return decomposable_network(flip_witness(d), lam=1.0 / d, family="flip")
 
 
 def pbd_network(lam, family: str = "pbd") -> NetworkState:

@@ -102,7 +102,10 @@ def bell_diagonal_witness(
     The lambda vector is decided exactly at d = 2 (lambda_0 >= 1/2) and d = 3,
     where 3W is the Choi matrix of the generalized Choi map (Cho, Kye, Lee,
     Linear Algebra Appl. 171, 213, 1992); each inequality is allowed
-    LAMBDA_TOL. At d >= 4 the randomized cyclic-inequality falsifier screens it.
+    LAMBDA_TOL. At d >= 4 two necessary tests screen it: the cyclic sum, d at
+    (1, ..., 1), curves by 2 (|hat(w)|^2 - Re hat(w)) there along each Fourier
+    mode w (hat the DFT of lambda / sum(lambda)), which must not be positive;
+    then the randomized cyclic-inequality falsifier samples the sum.
     """
     lam = check_lambda_vec(lam)
     d, l0, tol = len(lam), lam[0], LAMBDA_TOL
@@ -111,8 +114,14 @@ def bell_diagonal_witness(
         ok = l0 >= 1 / 2 - tol if d == 2 else l0 >= 1 / 3 - tol and (
             l0 >= 2 / 3 - tol or 9 * lam[1] * lam[2] >= (2 - 3 * l0) ** 2 - tol)
     else:
-        result = cyclic_inequality_check(lam, trials=check_trials, rng_seed=check_seed)
-        ok, why = result.passed, f"worst value {result.worst_value:.6g} > {d}"
+        hat = np.fft.fft(lam) / sum(lam)
+        curvature = np.abs(hat) ** 2 - hat.real
+        mode = int(np.argmax(curvature))
+        ok, why = curvature[mode] <= tol, (
+            f"Fourier mode {mode}: |hat|^2 - Re hat = {curvature[mode]:.2e} > 0")
+        if ok:
+            result = cyclic_inequality_check(lam, trials=check_trials, rng_seed=check_seed)
+            ok, why = result.passed, f"worst value {result.worst_value:.6g} > {d}"
     if not ok:
         raise ValueError(f"not a valid Bell-diagonal witness: cyclic inequality violated ({why})")
     return Witness(_bell_diagonal_matrix(lam), family, l0, lambda_vec=lam)

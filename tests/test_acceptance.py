@@ -8,12 +8,11 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from netwitness import bell, graphs
+from netwitness import bell, cli, graphs
 from netwitness.cli import main as cli_main
 from netwitness.networks import (
     bh_network,
     choi_network,
-    decomposable_network,
     flip_network,
     pbd_network,
     reduction_network,
@@ -33,7 +32,7 @@ from netwitness.states import (
     isotropic_state,
     random_state,
 )
-from netwitness.tensor import Mat, density, partial_transpose
+from netwitness.tensor import Mat, density
 from netwitness.witnesses import (
     breuer_hall_witness,
     choi_witness,
@@ -83,11 +82,11 @@ def test_acceptance_02_reconstruction_suite():
         cases.append((two_qubit_network(), 0.25))
         for d in (2, 3):
             for seed in range(5):
-                q = random_state((d, d), rng_seed=100 * d + seed, rank=1)
-                net = decomposable_network(decomposable_witness(q))
-                lam = float(np.max(np.abs(np.linalg.eigvalsh(
-                    partial_transpose(q.mat, {1}).data))))
-                cases.append((net, 2 * (d - 1) / (d * (d**3 * lam + d - 2))))
+                w = cli.build_witness("decomposable", d, None, 100 * d + seed)
+                net = cli.FAMILIES["decomposable"].network(w, None)
+                vals = np.linalg.eigvalsh(w.mat.data)
+                neg, pos, eta = vals[vals < 0].sum(), vals[vals > 0].sum(), 1 / d
+                cases.append((net, 1 / (neg / (eta - 1) + pos / eta)))
         for d in (2, 3):
             cases.append((flip_network(d), 2 / (d * (d + 2))))
         cases.append((choi_network(), (2 / 3) / 3))

@@ -211,7 +211,10 @@ def test_protocol_rejects_a_lambda_that_is_no_witness(capsys, tmp_path, command)
     # falsifier trials find no violation; decided exactly at d = 3
     "4/7,5/224,13/32",
     "0.1,0.3,0.3,0.3",  # the falsifier's worst value is 10 > 4
-], ids=["d2-rule", "d3-rule", "d4-falsifier"])
+    # Fourier mode 3 has |hat|^2 - Re hat = +6.0e-4, though the falsifier's
+    # 2,000 trials find no violation
+    "0.3867,0.0737,0.0729,0.3641,0.0401,0.0625",
+], ids=["d2-rule", "d3-rule", "d4-falsifier", "d6-fourier"])
 @pytest.mark.parametrize("command", [
     ["network", "build"],
     ["verify", "reconstruction"],
@@ -222,6 +225,19 @@ def test_protocol_rejects_a_lambda_that_is_no_witness(capsys, tmp_path, command)
 def test_family_commands_reject_a_lambda_that_is_no_witness(capsys, command, lam):
     err = usage_error([*command, "--family", "pbd", "--lambda", lam], capsys)
     assert "not a valid Bell-diagonal witness: cyclic inequality violated" in err
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("command", [["network", "build"], ["verify", "reconstruction"]],
+                         ids=["network-build", "verify-reconstruction"])
+def test_decomposable_row_has_one_realization(capsys, command, d):
+    # without --eta the row realizes its witness at eta = 1/d, through the same
+    # split as an explicit --eta 1/d
+    argv = [*command, "--family", "decomposable", "--d", str(d), "--seed", "3"]
+    code, plain = run_json(argv, capsys)
+    code_eta, explicit = run_json(argv + ["--eta", repr(1 / d)], capsys)
+    assert code == code_eta == 0
+    assert plain["outputs"] == explicit["outputs"]
 
 
 class TestVerify:

@@ -12,7 +12,6 @@ from netwitness.networks import (
     _blocks,
     bh_network,
     choi_network,
-    decomposable_network,
     flip_network,
     network_from_decomposition,
     pbd_network,
@@ -23,7 +22,7 @@ from netwitness.networks import (
     solve_decomposition,
     two_qubit_network,
 )
-from netwitness.protocol import detect_exact
+from netwitness.protocol import WILSON_Z, detect_exact
 from netwitness.states import random_state
 from netwitness.tensor import (
     DensityOperator,
@@ -35,10 +34,10 @@ from netwitness.tensor import (
     partial_transpose,
 )
 from netwitness.witnesses import (
-    Witness,
     breuer_hall_witness,
     choi_witness,
     decomposable_witness,
+    flip_witness,
     two_qubit_pt_witness,
 )
 
@@ -173,31 +172,56 @@ class TestSolveDecomposition:
 
 
 class TestDecomposableNetwork:
+    @staticmethod
+    def row_network(d, seed):
+        """The decomposable row's network: the solver's split at eta = 1/d."""
+        w = cli.build_witness("decomposable", d, None, seed)
+        return w, cli.FAMILIES["decomposable"].network(w, None)
+
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_unit_trace_and_reconstruction(self, d):
-        q = random_state((d, d), rng_seed=d, rank=1)
-        net = decomposable_network(decomposable_witness(q))
+        _, net = self.row_network(d, d)
+        assert net.eta == 1 / d
         assert np.isclose(np.trace(net.state.data), 1.0, atol=1e-12)
         assert np.linalg.eigvalsh(net.state.data)[0] >= -1e-12
         assert recon_error(net) <= 1e-9
 
     def test_recon_constant_formula(self):
+        # 1/k, k = neg/(eta - 1) + pos/eta from the signed eigenvalue sums of W
         d = 3
-        q = random_state((d, d), rng_seed=17, rank=1)
-        net = decomposable_network(decomposable_witness(q))
-        lam = float(np.max(np.abs(
-            np.linalg.eigvalsh(partial_transpose(q.mat, {1}).data))))
-        assert np.isclose(net.recon_constant,
-                          2 * (d - 1) / (d * (d**3 * lam + d - 2)), rtol=1e-12)
+        w, net = self.row_network(d, 17)
+        vals = np.linalg.eigvalsh(w.mat.data)
+        neg, pos = vals[vals < 0].sum(), vals[vals > 0].sum()
+        eta = 1 / d
+        assert np.isclose(net.recon_constant, 1 / (neg / (eta - 1) + pos / eta), rtol=1e-12)
+
+    def test_needs_fewer_shots_than_the_bespoke_network(self):
+        # shots to resolve the filtered singlet fraction q from eta at 95%:
+        # z^2 q (1 - q) / ((q - eta)^2 p), p the post-selection probability
+        def shots(r):
+            q = r.singlet_fraction
+            return WILSON_Z**2 * q * (1 - q) / ((q - r.eta) ** 2 * r.success_prob)
+
+        ratios = []
+        for d, seed in itertools.product((2, 3, 4), range(4)):
+            w, net = self.row_network(d, seed)
+            oracle = old_decomposable_network(w)
+            assert oracle.eta == net.eta
+            u = np.linalg.eigh(w.mat.data)[1][:, 0]  # the most negative eigenvector
+            for m in (0.9, 0.6, 0.3):
+                rho = density(m * np.outer(u, u.conj()) + (1 - m) * np.eye(d * d) / d**2, (d, d))
+                new, old = detect_exact(rho, net), detect_exact(rho, oracle)
+                assert new.verdict == old.verdict
+                if new.verdict == "detected":
+                    ratios.append(shots(old) / shots(new))
+        # measured 3.77-15.3 at d = 2, 5.65-38.5 at d = 3, 4.91-41.3 at d = 4
+        assert len(ratios) == 32
+        assert min(ratios) > 3
 
     def test_rejects_identity_like_q(self):
         # the maximally mixed Q gives W = 1/d^2, which is no witness
         with pytest.raises(ValueError, match="detects nothing"):
             decomposable_witness(density(np.eye(4) / 4, (2, 2)))
-        # a witness of spectral radius exactly 1/d^2 still reaches the guard
-        w = Witness(Mat(np.diag([1.0, -1.0, 1.0, 1.0]) / 4, (2, 2)), "decomposable", 0.5)
-        with pytest.raises(ValueError, match="degenerate"):
-            decomposable_network(w)
 
     def test_flip_instance_matches_symmetric_form(self):
         # mixture of normalized antisymmetric/symmetric projectors
@@ -508,22 +532,26 @@ def test_recon_constant_must_be_positive():
 # the per-term certificate replaced serves as an oracle ---
 
 
-def old_decomposable_matrix(q, lam=None):
-    d = q.dims[0]
-    wq = partial_transpose(q.mat, {1})
+def old_decomposable_network(w, lam=None) -> NetworkState:
+    """The bespoke decomposable network that the solver's split replaced: the
+    A2B2 factors mix (lam*1 -/+ W^T) with the readout pair, lam the spectral
+    radius of W; ``flip_network`` keeps this formula at lam = 1/d."""
+    d = w.d
     if lam is None:
-        lam = float(np.max(np.abs(np.linalg.eigh(wq.data)[0])))
+        lam = float(np.max(np.abs(np.linalg.eigh(w.mat.data)[0])))
     denom = d**3 * lam + d - 2
     c1 = (d * d * lam - 1) / denom
     c2 = (d - 1) * (d * d * lam + 1) / denom
-    wqt = wq.data.T
+    wqt = w.mat.data.T
     eye = np.eye(d * d)
     first = (lam * eye - wqt) / (lam * d * d - 1)
     first = (first + first.conj().T) / 2
     second = (lam * eye + wqt) / (lam * d * d + 1)
     second = (second + second.conj().T) / 2
     p00 = bell.bell_projector(d, 0, 0).data
-    return c1 * np.kron(first, p00) + c2 * np.kron(second, (eye - p00) / (d * d - 1))
+    state = c1 * np.kron(first, p00) + c2 * np.kron(second, (eye - p00) / (d * d - 1))
+    return NetworkState(density(state, (d,) * 4), 1 / d, 2 * (d - 1) / (d * denom), "oracle",
+                        w.mat)
 
 
 def old_pbd_matrix(lam):
@@ -613,11 +641,11 @@ Q3 = random_state((3, 3), rng_seed=4, rank=1)
 
 FAMILIES = [
     ("flip2", lambda: flip_network(2),
-     lambda: old_decomposable_matrix(density(bell.bell_projector(2, 0, 0).data, (2, 2)), 1 / 2)),
-    ("decomposable", lambda: decomposable_network(decomposable_witness(Q3)),
-     lambda: old_decomposable_matrix(Q3)),
+     lambda: old_decomposable_network(flip_witness(2), 1 / 2).state.data),
+    ("decomposable", lambda: cli.FAMILIES["decomposable"].network(decomposable_witness(Q3), None),
+     lambda: old_decomposition_matrix(decomposable_witness(Q3), 1 / 3)),
     ("flip3", lambda: flip_network(3),
-     lambda: old_decomposable_matrix(density(bell.bell_projector(3, 0, 0).data, (3, 3)), 1 / 3)),
+     lambda: old_decomposable_network(flip_witness(3), 1 / 3).state.data),
     ("pbd4", lambda: pbd_network((0.4, 0.3, 0.2, 0.1)),
      lambda: old_pbd_matrix((0.4, 0.3, 0.2, 0.1))),
     ("pbd-zero-weight", lambda: pbd_network((0.5, 0.0, 0.5)),
@@ -793,13 +821,6 @@ class TestMixtureCertificate:
     def test_still_checks_the_trace_of_the_sum(self):
         with pytest.raises(ValueError, match="trace"):
             mixture([(0.5, self.P, self.P)], (2,) * 4)
-
-    def test_decomposable_lambda_below_spectral_radius(self):
-        radius = float(np.max(np.abs(
-            np.linalg.eigvalsh(partial_transpose(Q3.mat, {1}).data))))
-        assert radius * 9 > 1 / 0.9
-        with pytest.raises(ValueError, match="eigenvalue below"):
-            decomposable_network(decomposable_witness(Q3), lam=0.9 * radius)
 
 
 def test_builds_decompose_no_matrix_larger_than_a_factor(monkeypatch):

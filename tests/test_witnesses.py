@@ -228,6 +228,44 @@ class TestExactRuleAtSmallDimension:
         assert counts == {"valid": 68, "decided": 162}
 
 
+class TestFourierModeAtLargerDimension:
+    # f(x) = sum_k x_k / sum_s lambda_s x_{k-s} has curvature
+    # 2 (|hat(w)|^2 - Re hat(w)) at x = (1, ..., 1) on Fourier mode w
+    LAMBDA = (0.3867, 0.0737, 0.0729, 0.3641, 0.0401, 0.0625)
+
+    @staticmethod
+    def curvature(lam):
+        hat = np.fft.fft(lam)
+        return np.abs(hat) ** 2 - hat.real
+
+    def test_positive_mode_gives_a_negative_product_value(self):
+        lam = np.array(self.LAMBDA)
+        curvature = self.curvature(lam)
+        assert np.argmax(curvature) == 3 and abs(curvature[3] - 6.0e-4) < 1e-6
+        # a real product vector along mode 3: x = 1 + t cos(pi k + phi),
+        # a_k ~ sqrt(x_k), b_k ~ a_k / mu_k with mu_k = sum_j lambda_{k-j} x_j
+        d, t, phi = len(lam), 0.3, 0.0
+        k = np.arange(d)
+        x = 1 + t * np.cos(np.pi * k + phi)
+        a = np.sqrt(x)
+        b = a / (lam[(k[:, None] - k) % d] @ x)
+        v = np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b))
+        value = v @ _bell_diagonal_matrix(self.LAMBDA).data.real @ v
+        assert -9.1e-6 < value < -8.9e-6
+
+    def test_refused_though_the_sampled_falsifier_misses_it(self):
+        assert cyclic_inequality_check(self.LAMBDA, trials=2000, rng_seed=7).passed
+        with pytest.raises(ValueError, match=r"cyclic inequality violated \(Fourier mode 3: "):
+            bell_diagonal_witness(self.LAMBDA)
+
+    @pytest.mark.parametrize("lam", [(0.25,) * 4, (0.5, 0.0, 0.5, 0.0)],
+                             ids=["uniform", "alternating"])
+    def test_flat_modes_still_build(self, lam):
+        # certify's d = 4 vertices: every mode value is exactly 0 or negative
+        assert max(self.curvature(lam)) == 0.0
+        assert bell_diagonal_witness(lam).lambda_vec == lam
+
+
 class TestCyclicInequality:
     def test_uniform_lambda_sits_on_the_bound(self):
         res = cyclic_inequality_check((1 / 3,) * 3, trials=200, rng_seed=1)
