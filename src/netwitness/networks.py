@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -124,8 +123,8 @@ def pbd_network(lam, family: str = "pbd") -> NetworkState:
     d = len(lam)
     if lam[0] == 0.0:
         raise ValueError("threshold eta would be 0; witness not realizable this way")
-    pairs = ((lam[s] / d, bell.bell_ket(d, s, t))
-             for s in range(d) if lam[s] != 0.0 for t in range(d))
+    rows = bell.bell_basis(d).reshape(d, d, d * d)  # rows[s, t] = |phi_st>
+    pairs = ((c / d, v) for c, row in zip(lam, rows) if c != 0.0 for v in row)
     return NetworkState(
         state=mixture(pairing(pairs), (d,) * 4),
         eta=lam[0],
@@ -154,28 +153,23 @@ def bh_network(d: int) -> NetworkState:
     """Three-term mixture realizing the Breuer-Hall witness in even d >= 4.
 
     The paired witness is the unscaled form (1/d)(1 - F') - P_00; the scaled
-    variant divides it by d - 2. Mixture weights are computed in exact
-    rational arithmetic before conversion to floats.
+    variant divides it by d - 2.
     """
     if d % 2 or d < 4:
         raise ValueError("Breuer-Hall network requires even dimension >= 4")
     denom = 3 * d * d - 3 * d + 2
-    c0 = Fraction(2 * d * d - 2 * d, denom)
-    c1 = Fraction(d + 1, denom)
-    c2 = 1 - c0 - c1
-    assert c2 == Fraction((d - 1) ** 2, denom)
+    c0 = (2 * d * d - 2 * d) / denom
     fp = bell.twisted_flip(d).data
     p00, rest = _readouts(d)
     eye = np.eye(d * d)
-    paired = pairing((1 / (d * d), bell.bell_ket(d, s, t)) for s in range(d) for t in range(d))
     return NetworkState(
         state=mixture([
-            (float(c0), paired),
-            (float(c1), (eye + fp) / (d * d + d), p00),
-            (float(c2), (eye - fp) / (d * d - d), rest),
+            (c0, pairing((1 / (d * d), v) for v in bell.bell_basis(d))),
+            ((d + 1) / denom, (eye + fp) / (d * d + d), p00),
+            ((d - 1) ** 2 / denom, (eye - fp) / (d * d - d), rest),
         ], (d,) * 4),
         eta=1.0 / d,
-        recon_constant=float(c0) / d**2,
+        recon_constant=c0 / d**2,
         family="breuer-hall",
         witness=_breuer_hall_paired(d),
     )

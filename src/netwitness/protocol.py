@@ -154,8 +154,8 @@ def measurement_circuit_probs(sigma: DensityOperator) -> np.ndarray:
 @functools.cache
 def _readout_circuit(d: int) -> np.ndarray:
     """Read-only (H^dag (x) 1) CNOT^dag on two qudits: row (t, s) is <phi_st|."""
-    rows = [bell.bell_ket(d, s, t).conj() for t in range(d) for s in range(d)]
-    return _read_only(np.array(rows))
+    rows = bell.bell_basis(d).reshape(d, d, d * d).swapaxes(0, 1).reshape(d * d, d * d)
+    return _read_only(rows.conj())
 
 
 @functools.cache
@@ -271,7 +271,7 @@ def detect_shots(rho: DensityOperator, n: NetworkState, *, shots: int = 10000,
     exact, k, trk = detect_target(rho, n.state, n.witness, n.eta, n.target, provenance)
     rng = np.random.default_rng(rng_seed)
     p = bell_outcome_distribution(rho, n).reshape(-1)
-    if not np.array_equal(n.target, _readout_circuit(n.d)[0].conj()):  # row 0 is <phi_00|
+    if not np.array_equal(n.target, bell.bell_ket(n.d)):
         raise ValueError("the readout circuit reads |phi_00>, not this network's target")
     p = np.clip(p, 0.0, None)
     p = p / p.sum()

@@ -5,15 +5,13 @@ with weights (2/3, 1/3, 0).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import bell
-from .tensor import (DensityOperator, _index, _indices, _pt_source, _read_only, density,
-                     hermitian_part)
+from .tensor import DensityOperator, _index, _indices, _pt_source, density, hermitian_part
 from .witnesses import _bell_diagonal_matrix
 
 PPT_EIG_FLOOR = -1e-12
@@ -103,13 +101,6 @@ def _refine(a: float, b: float, h: float) -> tuple[float, float]:
     return a, b
 
 
-@functools.cache
-def _qutrit_bell_projectors() -> np.ndarray:
-    """Read-only stack of the nine qutrit Bell projectors P_st, s-major."""
-    return _read_only(np.stack([bell.bell_projector(3, s, t).data
-                                for s in range(3) for t in range(3)]))
-
-
 def find_choi_detected_ppt(grid_resolution: int = 40, rng_seed: int = 0) -> ScanResult:
     """Search Bell-diagonal qutrit states for PPT entanglement.
 
@@ -143,7 +134,7 @@ def find_choi_detected_ppt(grid_resolution: int = 40, rng_seed: int = 0) -> Scan
     if not 2 <= n <= MAX_CHOI_RESOLUTION:
         raise ValueError(f"resolution must lie in [2, {MAX_CHOI_RESOLUTION}], not {n}")
     wmat = _bell_diagonal_matrix((2 / 3, 1 / 3, 0.0)).data  # the Choi witness's matrix
-    projs = _qutrit_bell_projectors()
+    projs = [np.outer(v, v.conj()) for v in bell.bell_basis(3)]  # P_st, s-major
     idx = np.arange(9)
     pt_rows, pt_cols = _pt_source((3, 3), {1}, idx[:, None], idx)
 

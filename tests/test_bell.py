@@ -30,6 +30,70 @@ def test_index_validation():
         bell.bell_ket(3, 0, -1)
 
 
+@pytest.mark.parametrize("d", [0, 1, -2])
+def test_dimension_checked_before_the_range(d):
+    with pytest.raises(ValueError, match="dimension must be >= 2"):
+        bell.bell_ket(d)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: bell.bell_ket(3, 1.5, 0),
+    lambda: bell.bell_ket(3, 0, 2.0),
+    lambda: bell.bell_ket(3.0),
+    lambda: bell.bell_basis(3.0),
+    lambda: bell.twisted_flip(4.0),
+], ids=["s", "t", "ket-d", "basis-d", "twisted-flip-d"])
+def test_float_arguments_rejected(call):
+    # the d = 3 and d = 4 tables are cached first: 3.0 == 3 must not find them
+    bell.bell_basis(3)
+    bell.bell_basis(4)
+    with pytest.raises(ValueError, match="must be .*integer"):
+        call()
+
+
+def test_numpy_integer_arguments_accepted():
+    v = bell.bell_ket(np.int64(3), np.int64(1), np.int32(2))
+    assert v.tobytes() == bell.bell_ket(3, 1, 2).tobytes()
+    assert np.array_equal(bell.twisted_flip(np.int64(4)).data, bell.twisted_flip(4).data)
+
+
+def scalar_bell_ket(d, s, t):
+    """The oracle: d^{-1/2} sum_j omega^{tj} |j>|j+s mod d>, one entry at a time."""
+    v = np.zeros(d * d, dtype=complex)
+    for j in range(d):
+        v[j * d + (j + s) % d] = np.exp(2j * np.pi * t * j / d)
+    return v / np.sqrt(d)
+
+
+class TestBellBasis:
+    @pytest.mark.parametrize("d", range(2, 11))
+    def test_rows_are_the_scalar_formula_bit_for_bit(self, d):
+        expect = np.array([scalar_bell_ket(d, s, t) for s in range(d) for t in range(d)])
+        table = bell.bell_basis(d)
+        assert table.dtype == complex and table.shape == (d * d, d * d)
+        assert table.tobytes() == expect.tobytes()
+
+    def test_read_only_and_cached(self):
+        table = bell.bell_basis(3)
+        assert table is bell.bell_basis(3)
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0
+        assert not bell.bell_ket(3, 1, 2).flags.writeable
+
+    def test_ket_is_the_table_row(self):
+        d, table = 4, bell.bell_basis(4)
+        for s in range(d):
+            for t in range(d):
+                assert bell.bell_ket(d, s, t).tobytes() == table[s * d + t].tobytes()
+
+    def test_row_outer_products_are_the_projectors(self):
+        # the Choi scan's nine P_st, s-major, have the bits of bell_projector
+        stack = [np.outer(v, v.conj()) for v in bell.bell_basis(3)]
+        expect = [bell.bell_projector(3, s, t).data for s in range(3) for t in range(3)]
+        assert [p.tobytes() for p in stack] == [p.tobytes() for p in expect]
+
+
 def test_projector_is_rank_one_idempotent():
     p = bell.bell_projector(3, 1, 2)
     assert np.allclose(p.data @ p.data, p.data, atol=1e-12)

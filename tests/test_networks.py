@@ -70,12 +70,6 @@ class TestTwoQubitNetwork:
         assert net.recon_constant == 0.25
         assert recon_error(net) <= 1e-10
 
-    def test_matches_decomposable_construction(self):
-        # the explicit mixture equals the generic build for Q = |phi+><phi+|
-        net = two_qubit_network()
-        generic = flip_network(2)
-        assert np.max(np.abs(net.state.data - generic.state.data)) <= 1e-12
-
 
 class TestSolveDecomposition:
     def test_two_qubit_weights(self):
@@ -222,6 +216,17 @@ class TestDecomposableNetwork:
         # the maximally mixed Q gives W = 1/d^2, which is no witness
         with pytest.raises(ValueError, match="detects nothing"):
             decomposable_witness(density(np.eye(4) / 4, (2, 2)))
+
+    def test_flip_network_matches_the_solver(self):
+        # flip_network's closed form against the solver's split of the flip
+        # witness at its threshold 1/d (measured: entries within 2.8e-17,
+        # recon_constant 0.25 against 0.2500000000000001 at d = 2)
+        for d in (2, 3, 4):
+            net = flip_network(d)
+            solved = network_from_decomposition(flip_witness(d), 1 / d)
+            assert net.eta == solved.eta
+            assert np.max(np.abs(net.state.data - solved.state.data)) <= 1e-15
+            assert abs(net.recon_constant - solved.recon_constant) <= 1e-15
 
     def test_flip_instance_matches_symmetric_form(self):
         # mixture of normalized antisymmetric/symmetric projectors

@@ -124,6 +124,27 @@ def test_src_imports_only_the_stdlib_and_numpy():
     assert foreign == []
 
 
+def test_src_modules_read_every_name_they_import():
+    # __init__.py imports its modules to load them, and ``from __future__
+    # import annotations`` binds no name to read
+    unused = []
+    for p in sorted(PACKAGE.glob("*.py")):
+        if p.name == "__init__.py":
+            continue
+        tree = ast.parse(p.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [f"{p.name}:{name}" for name in bound if name not in read]
+    assert unused == []
+
+
 def _benchmark_bindings(tree) -> dict:
     """Local name -> object for every ``from netwitness... import`` in ``tree``,
     imports inside functions included; a name the package lacks maps to None."""

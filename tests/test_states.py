@@ -13,7 +13,6 @@ from netwitness.states import (
     PPT_EIG_FLOOR,
     WITNESS_CUTOFF,
     ScanResult,
-    _qutrit_bell_projectors,
     _refine,
     _screen,
     find_choi_detected_ppt,
@@ -185,17 +184,15 @@ class TestChoiScan:
         assert peak < 2**16
         assert 2**14 // (MAX_CHOI_RESOLUTION + 1) == 1  # the finest grid: one row per block
 
-    def test_projector_stack_built_once(self, monkeypatch):
-        find_choi_detected_ppt(grid_resolution=40)  # fills the cache
+    def test_scan_reads_the_bell_table(self, monkeypatch):
+        # the nine P_st come from the rows of bell.bell_basis(3) (their bits
+        # are checked in tests/test_bell.py), not from bell_projector
         calls = []
         projector = bell.bell_projector
         monkeypatch.setattr(bell, "bell_projector",
                             lambda *a: calls.append(a) or projector(*a))
         assert find_choi_detected_ppt(grid_resolution=40).found
         assert calls == [(3, 0, 0)]  # the witness matrix's own P_00 only
-        stack = _qutrit_bell_projectors()
-        assert not stack.flags.writeable
-        assert [p.tobytes() for p in stack] == [p.data.tobytes() for p in _PROJS]
 
 
 _PROJS = [bell.bell_projector(3, s, t) for s in range(3) for t in range(3)]
