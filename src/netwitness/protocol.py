@@ -76,10 +76,13 @@ class DetectionReport:
 
 
 def teleport_contraction(rho: np.ndarray, net: np.ndarray, d2: int, d3: int) -> np.ndarray:
-    """K[x,y] = sum_ij rho[i,j] net[(i,x),(j,y)] for net on layer2 (x) layer3 by one tensordot,
-    which copies net transposed (d^8 entries, 27 MB at d = 6); a batched matmul need not."""
+    """K[x,y] = sum_ij rho[i,j] net[(i,x),(j,y)] for net on layer2 (x) layer3 by one batched
+    matmul over the (i, x, j, y) view: net is not copied, no temporary exceeds d2 d3^2 entries."""
+    if rho.shape != (d2, d2) or net.shape != (d2 * d3, d2 * d3):
+        raise ValueError(f"rho of shape {rho.shape} and net of shape {net.shape} "
+                         f"do not fit layers of side {d2} and {d3}")
     t = net.reshape(d2, d3, d2, d3)
-    return np.tensordot(rho, t, axes=((0, 1), (0, 2)))
+    return np.matmul(rho[:, None, None, :], t).sum(axis=0)[:, 0, :]
 
 
 def _teleport(rho: DensityOperator, net: DensityOperator) -> np.ndarray:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from netwitness import bell
+from netwitness.graphs import CL4_LABELS, cl4_graph, graph_network
 from netwitness.networks import (
     bh_network,
     choi_network,
@@ -513,3 +514,47 @@ def test_teleport_contraction_on_unequal_layers():
     assert k.shape == (9, 9)
     assert np.allclose(k, np.einsum("ij,ixjy->xy", rho, net.reshape(4, 9, 4, 9)),
                        rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("make, dims", [
+    (lambda: bh_network(4).state, (4, 4)),
+    (lambda: pbd_network((0.4, 0.3, 0.2, 0.1)).state, (4, 4)),
+    (lambda: graph_network(cl4_graph(), CL4_LABELS), (2,) * 4),
+], ids=["bh4", "pbd4", "cl4"])
+@pytest.mark.parametrize("view", [lambda a: a, lambda a: a.T], ids=["contiguous", "transposed"])
+def test_teleport_contraction_matches_einsum_at_side_16(make, dims, view):
+    # the joint-space oracle would need 268 MB here; einsum sums the same terms
+    net = make().data
+    rho = view(random_state(dims, rng_seed=40).data)
+    k = teleport_contraction(rho, net, 16, 16)
+    ref = np.einsum("ij,ixjy->xy", rho, net.reshape(16, 16, 16, 16))
+    assert np.max(np.abs(k - ref)) <= 1e-15
+
+
+@pytest.mark.parametrize("rho_shape, net_shape", [
+    ((1, 9), (81, 81)),
+    ((9, 1), (81, 81)),
+    ((4, 4), (81, 81)),
+    ((9, 9), (36, 36)),
+], ids=["row", "column", "wrong-side-rho", "wrong-side-net"])
+def test_teleport_contraction_refuses_misshapen_input(rho_shape, net_shape):
+    # broadcasting would take a (1, 9) rho and return a wrong K without error
+    rho = np.full(rho_shape, 1 / 9, dtype=complex)
+    net = np.zeros(net_shape, dtype=complex)
+    with pytest.raises(ValueError) as err:
+        teleport_contraction(rho, net, 9, 9)
+    assert str(rho_shape) in str(err.value) and str(net_shape) in str(err.value)
+
+
+@pytest.mark.parametrize("d", [4, 6])
+def test_teleport_contraction_makes_no_copy_of_the_network(d):
+    # a transposed copy of net alone would take net.nbytes
+    net = bh_network(d).state.data
+    rho = random_state((d, d), rng_seed=41).data
+    tracemalloc.start()
+    try:
+        teleport_contraction(rho, net, d * d, d * d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < min(net.nbytes / 8, 2**20)
